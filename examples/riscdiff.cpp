@@ -37,6 +37,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -210,17 +211,23 @@ main(int argc, char **argv)
             const std::uint64_t seed = startSeed + i;
             SeedResult *slot = &results[static_cast<std::size_t>(i)];
             engine.submit([seed, slot, &limits] {
-                const lang::Program program =
-                    lang::generateProgram(seed);
-                const lang::DiffOutcome o =
-                    lang::diffProgram(program, limits);
                 slot->ran = true;
-                slot->skipped = o.skipped;
-                slot->agreed = o.agreed;
-                if (!o.skipped)
-                    slot->digest = o.reference.obs.digest();
-                if (!o.skipped && !o.agreed)
-                    slot->report = o.report();
+                try {
+                    const lang::Program program =
+                        lang::generateProgram(seed);
+                    const lang::DiffOutcome o =
+                        lang::diffProgram(program, limits);
+                    slot->skipped = o.skipped;
+                    slot->agreed = o.agreed;
+                    if (!o.skipped)
+                        slot->digest = o.reference.obs.digest();
+                    if (!o.skipped && !o.agreed)
+                        slot->report = o.report();
+                } catch (const std::exception &e) {
+                    // An escaped exception is a diverged seed, never
+                    // a silently dropped one.
+                    slot->report = cat("exception: ", e.what(), "\n");
+                }
             });
             ++submitted;
         }
@@ -283,7 +290,7 @@ main(int argc, char **argv)
     try {
         writeRepro(badSeed, lang::generateProgram(badSeed), limits,
                    reproDir);
-    } catch (const FatalError &e) {
+    } catch (const std::exception &e) {
         std::cerr << "riscdiff: repro writing failed: " << e.what()
                   << "\n";
     }

@@ -11,7 +11,8 @@
 #
 # ctest runs in labeled stages (see docs/TESTING.md) so a failure names
 # the ring that broke: unit -> property -> differential -> target ->
-# vax -> obs -> mem -> server -> lang -> golden -> bench.
+# vax -> obs -> mem -> server -> lang -> golden -> bench.  Non-sanitizer
+# runs also build and smoke-run the perfbench benchmark.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -226,6 +227,22 @@ test -s "$BUILD/bench/out/BENCH_dispatch.json" || {
     echo "missing artifact: $BUILD/bench/out/BENCH_dispatch.json" >&2
     exit 1
 }
+
+# Benchmark smoke (perfbench/README.md): perfbench is its own CMake
+# package linked against src/ through the public Target and lang API,
+# so nothing else compiles it.  Build it and run a 2 s diff workload;
+# the binary exits non-zero unless every seed was judged correct and
+# no operation failed.  Timing is meaningless here (and under the
+# sanitizers, which skip this stage); only the build and the gates
+# are checked.
+if [ "$MODE" != sanitize ]; then
+    echo
+    echo "== benchmark smoke: perfbench --workload diff =="
+    cmake -S perfbench -B "$BUILD/perfbench"
+    cmake --build "$BUILD/perfbench" --target perfbench -j
+    "$BUILD/perfbench/perfbench" --workload diff --seed 1 --seconds 2 \
+        --trace 0 --out-dir "$BUILD/bench/out"
+fi
 
 if [ "$MODE" = default ]; then
     echo

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace risc1 {
@@ -49,7 +50,32 @@ struct Token
 };
 
 /**
- * Tokenize assembly @p source.
+ * Streaming tokenizer: one token per next() call, so the parser holds
+ * only its lookahead.  A whole-file token array would cost about
+ * twelve times the source's size, more than the parsed statements.
+ */
+class Lexer
+{
+  public:
+    /** Tokenize @p source, which must outlive the lexer. */
+    explicit Lexer(std::string_view source) : src_(source) {}
+
+    /**
+     * The next token.  The input always ends with a Newline (closing
+     * the last statement), then End on every further call.
+     * @throws FatalError on malformed literals, with the line number.
+     */
+    Token next();
+
+  private:
+    std::string_view src_;
+    std::size_t pos_ = 0;
+    int line_ = 1;
+    bool closed_ = false;  ///< the closing Newline has been returned
+};
+
+/**
+ * Tokenize all of @p source, through the closing Newline and End.
  * @throws FatalError on malformed literals, with the line number.
  */
 std::vector<Token> lex(const std::string &source);

@@ -217,7 +217,7 @@ parseOperand(TokenCursor &cur)
 std::vector<Stmt>
 parseRiscSource(const std::string &source)
 {
-    TokenCursor cur(lex(source));
+    TokenCursor cur(source);
     std::vector<Stmt> stmts;
     std::vector<std::string> pendingLabels;
 

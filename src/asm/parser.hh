@@ -90,17 +90,29 @@ struct Stmt
 };
 
 /**
- * Token cursor with the shared helpers both assemblers use.
+ * Token cursor with the shared helpers both assemblers use: one token
+ * of lookahead over a streaming Lexer.
  */
 class TokenCursor
 {
   public:
-    explicit TokenCursor(std::vector<Token> tokens)
-        : tokens_(std::move(tokens))
+    /** Parse @p source, which must outlive the cursor. */
+    explicit TokenCursor(std::string_view source)
+        : lexer_(source), next_(lexer_.next())
     {}
 
-    const Token &peek() const { return tokens_[pos_]; }
-    const Token &get() { return tokens_[pos_++]; }
+    /** The lookahead token; valid until the next get(). */
+    const Token &peek() const { return next_; }
+
+    /** Consume the lookahead token. */
+    Token
+    get()
+    {
+        Token tok = std::move(next_);
+        next_ = lexer_.next();
+        return tok;
+    }
+
     bool atEnd() const { return peek().kind == TokKind::End; }
 
     /** Consume a token of @p kind or fail with a message. */
@@ -116,8 +128,8 @@ class TokenCursor
     Expr parseExpr();
 
   private:
-    std::vector<Token> tokens_;
-    std::size_t pos_ = 0;
+    Lexer lexer_;
+    Token next_;  ///< lookahead
 };
 
 /** Parse a register name ("r0".."r31"); nullopt when not a register. */

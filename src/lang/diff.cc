@@ -1,30 +1,94 @@
 #include "lang/diff.hh"
 
 #include <algorithm>
+#include <initializer_list>
+#include <memory>
 #include <sstream>
 
-#include "asm/assembler.hh"
 #include "common/logging.hh"
 #include "common/program.hh"
 #include "target/registry.hh"
-#include "vax/vassembler.hh"
 
 namespace risc1::lang {
 
 namespace {
 
-/** Address of the `gvars` block in @p source for backend @p name. */
-std::uint32_t
-dataAddress(const std::string &name, const std::string &source)
+/**
+ * Load @p image into the fresh target @p t, run it through one tier,
+ * and read the Observation back from the image's `gvars` block into
+ * @p run.  @throws FatalError on a load or run fault, or an image
+ * with no `gvars` symbol.
+ */
+void
+execute(target::Target &t, const risc1::Program &image,
+        const DataLayout &layout, bool fast, std::uint64_t maxSimSteps,
+        BackendRun &run)
 {
-    const risc1::Program assembled = name == "risc"
-                                         ? assembleRisc(source)
-                                         : assembleVax(source);
-    const auto it = assembled.symbols.find(kDataLabel);
-    if (it == assembled.symbols.end())
-        panic(cat("lang diff: no '", kDataLabel, "' symbol in ", name,
-                  " program"));
-    return it->second;
+    t.loadProgram(image);
+    const std::uint32_t base = image.symbol(kDataLabel);
+    const RunOutcome outcome = t.run(maxSimSteps, fast);
+    run.steps = outcome.steps;
+    if (!outcome.halted) {
+        run.error = cat("did not halt within ", maxSimSteps,
+                        " instructions");
+        return;
+    }
+    run.obs.ret = t.checksum();
+    run.obs.globals.reserve(layout.globalWords);
+    for (std::uint32_t w = 0; w < layout.globalWords; ++w)
+        run.obs.globals.push_back(t.peekWord(base + 4 * w));
+    run.obs.outTotal = t.peekWord(base + 4 * layout.outCountWord);
+    const std::uint64_t stored =
+        std::min<std::uint64_t>(run.obs.outTotal, kOutCap);
+    run.obs.out.reserve(static_cast<std::size_t>(stored));
+    for (std::uint64_t i = 0; i < stored; ++i)
+        run.obs.out.push_back(t.peekWord(
+            base + 4 * (layout.outBufWord + static_cast<std::uint32_t>(i))));
+    run.ok = true;
+}
+
+/**
+ * Run @p compiled on backend @p targetName once per entry of @p tiers
+ * (false = step(), true = runFast), assembling the source once and
+ * loading that image into a fresh target per tier.  Every FatalError
+ * (assembly, load, run, a missing `gvars`) becomes the failed run's
+ * error text; none escapes.
+ */
+std::vector<BackendRun>
+runTiers(const std::string &targetName, const CompiledProgram &compiled,
+         std::initializer_list<bool> tiers, std::uint64_t maxSimSteps)
+{
+    std::unique_ptr<target::Target> t;
+    risc1::Program image;
+    bool assembled = false;
+    std::string asmError;
+    try {
+        t = target::makeTarget(targetName);
+        image = t->assemble(compiled.source);
+        assembled = true;
+    } catch (const FatalError &e) {
+        asmError = e.what();
+    }
+    std::vector<BackendRun> runs;
+    for (const bool fast : tiers) {
+        BackendRun &run = runs.emplace_back();
+        run.config = cat(targetName, fast ? "/fast" : "/step");
+        if (!assembled) {
+            run.error = asmError;
+            continue;
+        }
+        try {
+            // assemble() left the first target untouched, so the first
+            // tier runs on it; each later tier gets a fresh one.
+            if (!t)
+                t = target::makeTarget(targetName);
+            execute(*t, image, compiled.layout, fast, maxSimSteps, run);
+        } catch (const FatalError &e) {
+            run.error = e.what();
+        }
+        t.reset();
+    }
+    return runs;
 }
 
 } // namespace
@@ -78,39 +142,8 @@ runBackend(const std::string &targetName,
            const CompiledProgram &compiled, bool fast,
            std::uint64_t maxSimSteps)
 {
-    BackendRun run;
-    run.config = cat(targetName, fast ? "/fast" : "/step");
-    try {
-        auto t = target::makeTarget(targetName);
-        t->load(compiled.source);
-        const std::uint32_t base =
-            dataAddress(targetName, compiled.source);
-        const RunOutcome outcome = t->run(maxSimSteps, fast);
-        run.steps = outcome.steps;
-        if (!outcome.halted) {
-            run.error = cat("did not halt within ", maxSimSteps,
-                            " instructions");
-            return run;
-        }
-        run.obs.ret = t->checksum();
-        const DataLayout &layout = compiled.layout;
-        run.obs.globals.reserve(layout.globalWords);
-        for (std::uint32_t w = 0; w < layout.globalWords; ++w)
-            run.obs.globals.push_back(t->peekWord(base + 4 * w));
-        run.obs.outTotal =
-            t->peekWord(base + 4 * layout.outCountWord);
-        const std::uint64_t stored =
-            std::min<std::uint64_t>(run.obs.outTotal, kOutCap);
-        run.obs.out.reserve(static_cast<std::size_t>(stored));
-        for (std::uint64_t i = 0; i < stored; ++i)
-            run.obs.out.push_back(t->peekWord(
-                base + 4 * (layout.outBufWord +
-                            static_cast<std::uint32_t>(i))));
-        run.ok = true;
-    } catch (const FatalError &e) {
-        run.error = e.what();
-    }
-    return run;
+    return std::move(
+        runTiers(targetName, compiled, {fast}, maxSimSteps).front());
 }
 
 DiffOutcome
@@ -144,9 +177,8 @@ diffProgram(const Program &program, const DiffLimits &limits)
          {std::pair<const char *, const CompiledProgram &>{"risc",
                                                            risc},
           {"vax", vax}}) {
-        for (const bool fast : {false, true}) {
-            BackendRun run =
-                runBackend(name, compiled, fast, limits.maxSimSteps);
+        for (BackendRun &run : runTiers(name, compiled, {false, true},
+                                        limits.maxSimSteps)) {
             if (run.ok) {
                 const std::string diff =
                     describeMismatch(want, run.obs);

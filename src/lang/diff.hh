@@ -72,23 +72,32 @@ struct DiffOutcome
     bool agreed = false;   ///< every backend run ok and matching
     std::string skipReason;
     InterpResult reference;
-    std::vector<BackendRun> runs;  ///< 4 entries unless skipped
+    /**
+     * One entry per backend run (4), none when skipped, or a single
+     * "compile" entry when a lowering failed.
+     */
+    std::vector<BackendRun> runs;
 
     /** Multi-line diagnostic report (empty when agreed). */
     std::string report() const;
 };
 
-/** Run the full 1-oracle × 4-configuration differential for @p program. */
+/**
+ * Run the full 1-oracle × 4-configuration differential for @p program.
+ * Each lowering is assembled once; its step-tier and fast-tier runs
+ * load that one image into fresh targets.
+ */
 DiffOutcome diffProgram(const Program &program,
                         const DiffLimits &limits = {});
 
 /**
  * Run @p compiled on backend @p targetName ("risc" or "vax") through
  * the step() path (@p fast false) or runFast (@p fast true), reading
- * the Observation back through Target::peekWord.  The data-block
- * address comes from re-assembling the source locally — both
- * assemblers are deterministic, so the symbol table matches the one
- * Target::load built internally.
+ * the Observation back through Target::peekWord.  The source is
+ * assembled once (Target::assemble); the `gvars` address comes from
+ * that image's symbol table.  Never throws a FatalError: an assembly
+ * error, a missing `gvars`, or a load or run fault is returned as a
+ * run with `ok` false and the error text.
  */
 BackendRun runBackend(const std::string &targetName,
                       const CompiledProgram &compiled, bool fast,

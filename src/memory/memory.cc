@@ -23,8 +23,12 @@ MemoryStats::writeJson(JsonWriter &w) const
 const std::shared_ptr<const Page> &
 Page::zero()
 {
-    static const PageRef page = std::make_shared<const Page>();
-    return page;
+    // An aliasing handle with no control block: copying or dropping
+    // it touches no reference count, so building or destroying a
+    // memory does no atomic work on a line every thread shares.
+    static const Page page{};
+    static const PageRef handle(PageRef(), &page);
+    return handle;
 }
 
 bool

@@ -57,7 +57,9 @@ struct Page
     /**
      * The process-wide all-zero page.  Every untouched slot of every
      * Memory aliases this single page, so a freshly constructed 16 MiB
-     * memory allocates no content at all.
+     * memory allocates no content at all.  The handle has no control
+     * block (use_count() is 0): copies of it are plain pointer copies,
+     * so callers must compare against it before trusting use_count().
      */
     static const std::shared_ptr<const Page> &zero();
 };

@@ -18,15 +18,17 @@
  * by the generation check, so new machine APIs that mutate memory
  * cannot forget to invalidate.
  *
- * The cache is organized as one lazily-sized slot vector per memory
+ * The cache is organized as one lazily allocated slot array per memory
  * page (Memory::pageBytes), so the resident cost is proportional to
- * the pages code actually executes from, not to the memory size.
+ * the pages code actually executes from, not to the memory size; the
+ * page directory itself is one pointer per page.
  */
 
 #ifndef RISC1_TARGET_DECODE_CACHE_HH
 #define RISC1_TARGET_DECODE_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "memory/memory.hh"
@@ -71,13 +73,13 @@ class DecodeCache
             pages_.resize(mem.numPages());
     }
 
-    /** The slot for @p addr; its page is sized on first use. */
+    /** The slot for @p addr; its page is allocated on first use. */
     Slot &
     slot(std::uint32_t addr)
     {
         auto &page = pages_[addr / Memory::pageBytes];
-        if (page.empty())
-            page.resize(Memory::pageBytes >> SlotShift);
+        if (!page)
+            page = std::make_unique<Slot[]>(Memory::pageBytes >> SlotShift);
         return page[(addr & (Memory::pageBytes - 1)) >> SlotShift];
     }
 
@@ -102,7 +104,7 @@ class DecodeCache
     }
 
   private:
-    std::vector<std::vector<Slot>> pages_;
+    std::vector<std::unique_ptr<Slot[]>> pages_;
 };
 
 } // namespace risc1::target

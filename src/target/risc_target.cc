@@ -24,10 +24,15 @@ riscStats(const TargetStats &stats)
     return *risc;
 }
 
-void
-RiscTarget::load(const std::string &source)
+Program
+RiscTarget::assemble(const std::string &source) const
 {
-    const Program program = assembleRisc(source);
+    return assembleRisc(source);
+}
+
+void
+RiscTarget::loadProgram(const Program &program)
+{
     codeBytes_ = program.codeBytes();
     machine_.loadProgram(program);
 }

@@ -7,7 +7,7 @@
  * machine.
  *
  * A Target owns one machine instance and exposes the engine-facing
- * lifecycle — load (assemble + load a source program), step/run,
+ * lifecycle — assemble and load a source program, step/run,
  * snapshot/restore for warm-start forking, and a unified stats view
  * with per-ISA extensions.  Backends are constructed by name through
  * the registry (registry.hh); adding a backend means adding a Target
@@ -23,6 +23,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/program.hh"
 #include "core/machine.hh"
 #include "core/outcome.hh"
 #include "mem/hierarchy.hh"
@@ -151,8 +152,19 @@ class Target
     /** Canonical backend name ("risc", "vax"). */
     virtual std::string_view name() const = 0;
 
+    /**
+     * Assemble @p source with this ISA's assembler.  Touches no
+     * machine state, so one image can be loaded into many targets of
+     * the same backend.  @throws FatalError on an assembly error.
+     */
+    virtual Program assemble(const std::string &source) const = 0;
+
+    /** Load an image this backend's assemble() produced, and reset
+     *  the machine to its entry point. */
+    virtual void loadProgram(const Program &program) = 0;
+
     /** Assemble @p source for this ISA and load it. */
-    virtual void load(const std::string &source) = 0;
+    void load(const std::string &source) { loadProgram(assemble(source)); }
 
     /** Static code bytes of the most recently loaded program. */
     virtual std::uint64_t codeBytes() const = 0;

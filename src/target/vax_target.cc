@@ -26,10 +26,15 @@ vaxStats(const TargetStats &stats)
     return *v;
 }
 
-void
-VaxTarget::load(const std::string &source)
+Program
+VaxTarget::assemble(const std::string &source) const
 {
-    const Program program = assembleVax(source);
+    return assembleVax(source);
+}
+
+void
+VaxTarget::loadProgram(const Program &program)
+{
     codeBytes_ = program.codeBytes();
     machine_.loadProgram(program);
 }

@@ -36,7 +36,8 @@ class VaxTarget final : public Target
     }
 
     std::string_view name() const override { return "vax"; }
-    void load(const std::string &source) override;
+    Program assemble(const std::string &source) const override;
+    void loadProgram(const Program &program) override;
     std::uint64_t codeBytes() const override { return codeBytes_; }
     bool step() override { return machine_.step(); }
     RunOutcome run(std::uint64_t maxSteps, bool fast) override;

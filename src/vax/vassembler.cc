@@ -218,7 +218,7 @@ parseVOperand(TokenCursor &cur)
 std::vector<VStmt>
 parseVaxSource(const std::string &source)
 {
-    TokenCursor cur(lex(source));
+    TokenCursor cur(source);
     std::vector<VStmt> stmts;
     std::vector<std::string> pendingLabels;
 

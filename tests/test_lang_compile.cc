@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "lang/diff.hh"
 #include "lang/parser.hh"
 
@@ -186,6 +187,51 @@ TEST(LangCompile, CompiledSourcesCarryTheSharedDataLabel)
     EXPECT_EQ(compileRisc(p).layout.globalWords, 1u);
     EXPECT_EQ(compileVax(p).layout.totalWords,
               1u + 1u + static_cast<std::uint32_t>(kOutCap));
+}
+
+/**
+ * runBackend never throws past the verdict: a source that cannot be
+ * loaded is a failed run carrying the reason, on both tiers.
+ */
+void
+expectFailedRun(const std::string &target, const CompiledProgram &compiled,
+                const std::string &reason)
+{
+    for (const bool fast : {false, true}) {
+        SCOPED_TRACE(target + (fast ? "/fast" : "/step"));
+        BackendRun run;
+        ASSERT_NO_THROW(run = runBackend(target, compiled, fast, 1000));
+        EXPECT_EQ(run.config, target + (fast ? "/fast" : "/step"));
+        EXPECT_FALSE(run.ok);
+        EXPECT_FALSE(run.match);
+        EXPECT_NE(run.error.find(reason), std::string::npos) << run.error;
+    }
+}
+
+TEST(LangCompile, RunBackendReportsAnAssemblerRejection)
+{
+    const Program p = parseProgram("int main() { return 1; }");
+    CompiledProgram risc = compileRisc(p), vax = compileVax(p);
+    risc.source += "\n    frobnicate r1, r2\n";
+    vax.source += "\n    frobnicate r1, r2\n";
+    expectFailedRun("risc", risc, "unknown mnemonic 'frobnicate'");
+    expectFailedRun("vax", vax, "unknown mnemonic 'frobnicate'");
+}
+
+TEST(LangCompile, RunBackendReportsAMissingDataLabel)
+{
+    const Program p = parseProgram("int g = 3; int main() { return g; }");
+    for (auto [target, compiled] :
+         {std::pair{std::string("risc"), compileRisc(p)},
+          std::pair{std::string("vax"), compileVax(p)}}) {
+        // Rename every use of the label, so the source still assembles.
+        std::string &src = compiled.source;
+        for (std::size_t at = src.find(kDataLabel);
+             at != std::string::npos; at = src.find(kDataLabel, at))
+            src.replace(at, std::string(kDataLabel).size(), "gdata");
+        expectFailedRun(target, compiled,
+                        cat("unknown symbol '", kDataLabel, "'"));
+    }
 }
 
 } // namespace

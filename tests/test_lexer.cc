@@ -97,6 +97,44 @@ TEST(Lexer, ErrorsAreFatalWithLine)
     EXPECT_THROW(lex("\"bad\\q\"\n"), FatalError);
 }
 
+TEST(Lexer, StreamsOneTokenAtATimeThenEndForever)
+{
+    // The parser reads one token ahead of the lexer and may ask again
+    // at End; lex() is exactly the collected stream.
+    Lexer lexer("add r1 ; note\n");
+    const TokKind want[] = {TokKind::Ident, TokKind::Ident,
+                            TokKind::Newline, TokKind::Newline,
+                            TokKind::End, TokKind::End};
+    std::vector<Token> streamed;
+    for (const TokKind kind : want) {
+        streamed.push_back(lexer.next());
+        EXPECT_EQ(streamed.back().kind, kind);
+    }
+    const auto collected = lex("add r1 ; note\n");
+    ASSERT_EQ(collected.size(), streamed.size() - 1);
+    for (std::size_t i = 0; i < collected.size(); ++i) {
+        EXPECT_EQ(collected[i].kind, streamed[i].kind);
+        EXPECT_EQ(collected[i].text, streamed[i].text);
+        EXPECT_EQ(collected[i].line, streamed[i].line);
+    }
+}
+
+TEST(Lexer, ErrorsSurfaceWhenTheParserReachesThem)
+{
+    // Streaming: the earlier statement parses, and the malformed
+    // token fails with its own line once the lookahead reaches it.
+    TokenCursor cur("1 + 2\n$\n");
+    EXPECT_EQ(cur.parseExpr().eval({}, 0), 3);
+    EXPECT_EQ(cur.peek().kind, TokKind::Newline);
+    try {
+        cur.get();
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Lexer, FuzzNeverCrashes)
 {
     // Random byte soup must either lex or throw FatalError — never
@@ -120,14 +158,14 @@ TEST(Lexer, FuzzNeverCrashes)
 
 TEST(Expr, AdditiveEvaluation)
 {
-    TokenCursor cur(lex("1 + 2 + 3\n"));
+    TokenCursor cur("1 + 2 + 3\n");
     const Expr e = cur.parseExpr();
     EXPECT_EQ(e.eval({}, 0), 6);
 }
 
 TEST(Expr, MixedSignsAndSymbols)
 {
-    TokenCursor cur(lex("end - start + 4\n"));
+    TokenCursor cur("end - start + 4\n");
     const Expr e = cur.parseExpr();
     const std::map<std::string, std::uint32_t> syms = {
         {"start", 0x1000}, {"end", 0x1040}};
@@ -138,35 +176,35 @@ TEST(Expr, MixedSignsAndSymbols)
 
 TEST(Expr, DotIsCurrentAddress)
 {
-    TokenCursor cur(lex(". + 8\n"));
+    TokenCursor cur(". + 8\n");
     const Expr e = cur.parseExpr();
     EXPECT_EQ(e.eval({}, 0x2000), 0x2008);
 }
 
 TEST(Expr, LeadingAndDoubleMinus)
 {
-    TokenCursor cur(lex("-5\n"));
+    TokenCursor cur("-5\n");
     EXPECT_EQ(cur.parseExpr().eval({}, 0), -5);
-    TokenCursor cur2(lex("--5\n"));
+    TokenCursor cur2("--5\n");
     EXPECT_EQ(cur2.parseExpr().eval({}, 0), 5);
-    TokenCursor cur3(lex("10 - -3\n"));
+    TokenCursor cur3("10 - -3\n");
     EXPECT_EQ(cur3.parseExpr().eval({}, 0), 13);
 }
 
 TEST(Expr, UndefinedSymbolThrows)
 {
-    TokenCursor cur(lex("mystery\n"));
+    TokenCursor cur("mystery\n");
     const Expr e = cur.parseExpr();
     EXPECT_THROW(e.eval({}, 0), FatalError);
 }
 
 TEST(Expr, BareSymbolDetection)
 {
-    TokenCursor cur(lex("alone\n"));
+    TokenCursor cur("alone\n");
     EXPECT_EQ(cur.parseExpr().asBareSymbol(), "alone");
-    TokenCursor cur2(lex("a + b\n"));
+    TokenCursor cur2("a + b\n");
     EXPECT_FALSE(cur2.parseExpr().asBareSymbol().has_value());
-    TokenCursor cur3(lex("-a\n"));
+    TokenCursor cur3("-a\n");
     EXPECT_FALSE(cur3.parseExpr().asBareSymbol().has_value());
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/logging.hh"
 #include "memory/memory.hh"
 
@@ -225,6 +228,28 @@ TEST(MemoryCow, ZeroPageIsProcessWideSingleton)
     Memory b(1u << 20);
     EXPECT_EQ(a.usage().residentBytes + b.usage().residentBytes, 0u);
     EXPECT_EQ(Page::zero().get(), Page::zero().get());
+
+    // The handle has no reference count: building and destroying
+    // memories copies and drops it without touching a shared counter.
+    const long before = Page::zero().use_count();
+    EXPECT_EQ(before, 0);
+    {
+        std::vector<Memory> fleet;
+        for (int i = 0; i < 4; ++i)
+            fleet.emplace_back(16u << 20);
+        EXPECT_EQ(Page::zero().use_count(), before);
+    }
+    EXPECT_EQ(Page::zero().use_count(), before);
+
+    // The first write still makes a private page, and leaves the
+    // zero page all-zero.
+    Memory fresh(16u << 20);
+    fresh.writeWord(0x1000, 0xdeadbeef);
+    EXPECT_EQ(fresh.usage().residentBytes, Page::size);
+    EXPECT_EQ(fresh.peekWord(0x1000), 0xdeadbeefu);
+    const Page &zero = *Page::zero();
+    EXPECT_TRUE(std::all_of(zero.bytes.begin(), zero.bytes.end(),
+                            [](std::uint8_t b) { return b == 0; }));
 }
 
 } // namespace

@@ -86,6 +86,40 @@ TEST(Target, AllBackendsRunAllWorkloads)
     }
 }
 
+/** load(source) is assemble-then-loadProgram: loading an image
+ *  assembled once must run exactly like loading the source, on every
+ *  backend, workload, and tier. */
+TEST(Target, AssembledImageLoadMatchesSourceLoad)
+{
+    for (const auto name : target::backendNames()) {
+        for (const Workload &w : allWorkloads()) {
+            const std::string &source = target::workloadSource(name, w);
+            const auto assembler = target::makeTarget(name);
+            const Program image = assembler->assemble(source);
+            for (const bool fast : {false, true}) {
+                SCOPED_TRACE(std::string(name) + "/" + w.id +
+                             (fast ? "/fast" : "/step"));
+                const auto fromSource = target::makeTarget(name);
+                fromSource->load(source);
+                const auto fromImage = target::makeTarget(name);
+                fromImage->loadProgram(image);
+                EXPECT_EQ(fromImage->codeBytes(), fromSource->codeBytes());
+
+                const RunOutcome want = fromSource->run(50'000'000, fast);
+                const RunOutcome got = fromImage->run(50'000'000, fast);
+                ASSERT_TRUE(got.halted);
+                EXPECT_EQ(got.steps, want.steps);
+                EXPECT_EQ(fromImage->checksum(), fromSource->checksum());
+                EXPECT_EQ(fromImage->checksum(), w.expected);
+                EXPECT_EQ(fromImage->stats()->cycles(),
+                          fromSource->stats()->cycles());
+                EXPECT_EQ(fromImage->stats()->instructions(),
+                          fromSource->stats()->instructions());
+            }
+        }
+    }
+}
+
 TEST(Target, StepAndStatsThroughTheInterface)
 {
     const Workload &w = findWorkload("fib_rec");
