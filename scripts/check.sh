@@ -12,7 +12,8 @@
 # ctest runs in labeled stages (see docs/TESTING.md) so a failure names
 # the ring that broke: unit -> property -> differential -> target ->
 # vax -> obs -> mem -> server -> lang -> golden -> bench.  Non-sanitizer
-# runs also build and smoke-run the perfbench benchmark.
+# runs also build and smoke-run the perfbench benchmark (diff, and a
+# sweep whose statistics digest is pinned).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -232,9 +233,9 @@ test -s "$BUILD/bench/out/BENCH_dispatch.json" || {
 # package linked against src/ through the public Target and lang API,
 # so nothing else compiles it.  Build it and run a 2 s diff workload;
 # the binary exits non-zero unless every seed was judged correct and
-# no operation failed.  Timing is meaningless here (and under the
-# sanitizers, which skip this stage); only the build and the gates
-# are checked.
+# no operation failed.  Then run a 2 s sweep and pin its digest.
+# Timing is meaningless here (and under the sanitizers, which skip
+# this stage); only the build and the gates are checked.
 if [ "$MODE" != sanitize ]; then
     echo
     echo "== benchmark smoke: perfbench --workload diff =="
@@ -242,6 +243,23 @@ if [ "$MODE" != sanitize ]; then
     cmake --build "$BUILD/perfbench" --target perfbench -j
     "$BUILD/perfbench/perfbench" --workload diff --seed 1 --seconds 2 \
         --trace 0 --out-dir "$BUILD/bench/out"
+
+    # Sweep smoke with a pinned statistics digest: the digest folds
+    # every job's simulated statistics (instructions, cycles, calls,
+    # window traps, spill/fill words, per-level hits/misses/
+    # writebacks).  The warm-up fills every variant's book, so it
+    # depends only on the seed, not on the run length or the host; a
+    # fast-path change that moves any simulated count fails here.
+    echo
+    echo "== benchmark smoke: perfbench --workload sweep (digest) =="
+    SWEEP_OUT=$("$BUILD/perfbench/perfbench" --workload sweep --seed 41 \
+        --seconds 2 --trace 0 --out-dir "$BUILD/bench/out")
+    echo "$SWEEP_OUT"
+    echo "$SWEEP_OUT" | grep -q "digest 0x35032915" || {
+        echo "sweep statistics digest moved from 0x35032915:" \
+             "a simulated count changed" >&2
+        exit 1
+    }
 fi
 
 if [ "$MODE" = default ]; then

@@ -580,9 +580,11 @@ Machine::raiseInterrupt(std::uint32_t vector)
 void
 Machine::maybeAcceptInterrupt()
 {
-    // Accept a pending interrupt at a sequential boundary only (no
-    // taken transfer in flight), mirroring CALLINT entry.
-    if (interruptPending_ && psw_.intEnable && npc_ == pc_ + 4) {
+    // Callers test interruptPending_ first, so an instruction with
+    // nothing pending pays one flag test.  Accept the interrupt at a
+    // sequential boundary only (no taken transfer in flight),
+    // mirroring CALLINT entry.
+    if (psw_.intEnable && npc_ == pc_ + 4) {
         interruptPending_ = false;
         ++interruptsTaken_;
         if (resident_ == config_.windows.capacity())
@@ -618,7 +620,8 @@ Machine::step()
     if (halted_)
         return false;
 
-    maybeAcceptInterrupt();
+    if (interruptPending_)
+        maybeAcceptInterrupt();
 
     if (hier_)
         stats_.cycles += hier_->fetch(pc_);
@@ -877,7 +880,8 @@ Machine::runFast(std::uint64_t maxSteps)
     predecode_.sync(mem_);
 
     while (!halted_ && outcome.steps < maxSteps) {
-        maybeAcceptInterrupt();
+        if (interruptPending_)
+            maybeAcceptInterrupt();
 
         const std::uint32_t pc = pc_;
         if (hier_)
@@ -890,8 +894,10 @@ Machine::runFast(std::uint64_t maxSteps)
             static_cast<std::uint64_t>(pc) + 4 > mem_.size())
             (void)mem_.fetchWord(pc);
 
+        // An aligned word never spans two generation lines, so one
+        // line generation validates the slot.
         PredecodeCache::Slot &e = predecode_.slot(pc);
-        if (PredecodeCache::valid(e, mem_, pc, 4)) {
+        if (PredecodeCache::validInLine(e, mem_, pc)) {
             // Clean hit: the lines are unwritten since this slot was
             // validated.  Count the fetch step() would have done.
             mem_.countFetch();

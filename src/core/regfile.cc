@@ -26,91 +26,26 @@ RegFile::RegFile(const WindowConfig &config)
     if (config_.numWindows < 2)
         fatal("window config needs at least 2 windows");
     phys_.assign(config_.physRegs(), 0);
-}
-
-unsigned
-RegFile::windowBase(unsigned window) const
-{
-    return config_.numGlobals + window * config_.frameSize();
-}
-
-unsigned
-RegFile::physIndex(unsigned reg) const
-{
-    if (reg >= 32)
-        panic(cat("visible register out of range: ", reg));
-    switch (regGroup(reg)) {
-      case RegGroup::Global:
-        return reg;
-      case RegGroup::Low:
-      case RegGroup::Local:
-        // LOW at frame offsets 0..5, LOCAL at 6..15.
-        return windowBase(cwp_) + (reg - 10);
-      case RegGroup::High:
-        // HIGH of this window is LOW of the window above (the caller).
-        return windowBase((cwp_ + 1) % config_.numWindows) + (reg - 26);
-    }
-    panic("unreachable");
-}
-
-std::uint32_t
-RegFile::read(unsigned reg) const
-{
-    if (reg == 0)
-        return 0;
-    return phys_[physIndex(reg)];
+    setCwp(0);
 }
 
 void
-RegFile::write(unsigned reg, std::uint32_t value)
+RegFile::badRegister(unsigned reg)
 {
-    if (reg == 0)
-        return; // r0 is hardwired to zero
-    phys_[physIndex(reg)] = value;
+    panic(cat("visible register out of range: ", reg));
 }
 
 void
-RegFile::pushWindow()
+RegFile::badFrameReg(const char *what, unsigned window, unsigned index)
 {
-    cwp_ = (cwp_ + config_.numWindows - 1) % config_.numWindows;
-}
-
-void
-RegFile::popWindow()
-{
-    cwp_ = (cwp_ + 1) % config_.numWindows;
-}
-
-std::uint32_t
-RegFile::frameReg(unsigned window, unsigned index) const
-{
-    if (window >= config_.numWindows || index >= config_.frameSize())
-        panic(cat("frameReg(", window, ", ", index, ") out of range"));
-    const unsigned base = windowBase(window);
-    const unsigned next = windowBase((window + 1) % config_.numWindows);
-    if (index < config_.overlap)
-        return phys_[next + index];
-    return phys_[base + index];
-}
-
-void
-RegFile::setFrameReg(unsigned window, unsigned index, std::uint32_t value)
-{
-    if (window >= config_.numWindows || index >= config_.frameSize())
-        panic(cat("setFrameReg(", window, ", ", index, ") out of range"));
-    const unsigned base = windowBase(window);
-    const unsigned next = windowBase((window + 1) % config_.numWindows);
-    if (index < config_.overlap)
-        phys_[next + index] = value;
-    else
-        phys_[base + index] = value;
+    panic(cat(what, "(", window, ", ", index, ") out of range"));
 }
 
 void
 RegFile::reset()
 {
     phys_.assign(config_.physRegs(), 0);
-    cwp_ = 0;
+    setCwp(0);
 }
 
 void
@@ -123,7 +58,7 @@ RegFile::restore(const std::vector<std::uint32_t> &phys, unsigned cwp)
         fatal(cat("regfile restore: CWP ", cwp, " out of range for ",
                   config_.numWindows, " windows"));
     phys_ = phys;
-    cwp_ = cwp;
+    setCwp(cwp);
 }
 
 } // namespace risc1

@@ -69,6 +69,14 @@ RegGroup regGroup(unsigned reg);
  * The file knows nothing about traps; the Machine decides when a window
  * push/pop requires a spill/fill and uses frame() to move the 16
  * registers of a frame to/from memory.
+ *
+ * Like RISC I's register decoder, the mapping costs nothing per
+ * access: the file caches the physical base of the current window's
+ * LOW/LOCAL registers and of its HIGH registers (the LOW of the window
+ * above, i.e. the caller's), and recomputes both whenever the CWP
+ * moves — construction, pushWindow(), popWindow(), reset() and
+ * restore().  An access is then a compare or two and an add: no
+ * division, no out-of-line call (docs/ISA.md).
  */
 class RegFile
 {
@@ -81,16 +89,29 @@ class RegFile
     unsigned cwp() const { return cwp_; }
 
     /** Read visible register @p reg (0..31) in the current window. */
-    std::uint32_t read(unsigned reg) const;
+    std::uint32_t
+    read(unsigned reg) const
+    {
+        return reg == 0 ? 0 : phys_[physIndex(reg)];
+    }
 
     /** Write visible register @p reg; writes to r0 are discarded. */
-    void write(unsigned reg, std::uint32_t value);
+    void
+    write(unsigned reg, std::uint32_t value)
+    {
+        if (reg != 0) // r0 is hardwired to zero
+            phys_[physIndex(reg)] = value;
+    }
 
     /** Slide the window down (CALL direction). */
-    void pushWindow();
+    void
+    pushWindow()
+    {
+        setCwp(cwp_ == 0 ? config_.numWindows - 1 : cwp_ - 1);
+    }
 
     /** Slide the window up (RETURN direction). */
-    void popWindow();
+    void popWindow() { setCwp(nextWindow(cwp_)); }
 
     /**
      * Access the 16 (frameSize) physical registers that make up the
@@ -100,11 +121,30 @@ class RegFile
      * frame's LOW registers are excluded: they are the callee's HIGHs
      * and belong to the callee's activation.
      */
-    std::uint32_t frameReg(unsigned window, unsigned index) const;
-    void setFrameReg(unsigned window, unsigned index, std::uint32_t value);
+    std::uint32_t
+    frameReg(unsigned window, unsigned index) const
+    {
+        return phys_[frameIndex("frameReg", window, index)];
+    }
+
+    void
+    setFrameReg(unsigned window, unsigned index, std::uint32_t value)
+    {
+        phys_[frameIndex("setFrameReg", window, index)] = value;
+    }
 
     /** Map a visible register to its physical index (r0 maps to 0). */
-    unsigned physIndex(unsigned reg) const;
+    unsigned
+    physIndex(unsigned reg) const
+    {
+        if (reg >= 32)
+            badRegister(reg);
+        if (reg < 10)
+            return reg;
+        // LOW at frame offsets 0..5, LOCAL at 6..15; HIGH of this
+        // window is LOW of the window above (the caller).
+        return reg < 26 ? lowBase_ + (reg - 10) : highBase_ + (reg - 26);
+    }
 
     /** Zero every physical register and reset CWP. */
     void reset();
@@ -120,11 +160,50 @@ class RegFile
     void restore(const std::vector<std::uint32_t> &phys, unsigned cwp);
 
   private:
-    unsigned windowBase(unsigned window) const;
+    unsigned
+    windowBase(unsigned window) const
+    {
+        return config_.numGlobals + window * config_.frameSize();
+    }
+
+    /** The frame above @p window (the caller's), wrapping circularly. */
+    unsigned
+    nextWindow(unsigned window) const
+    {
+        return window + 1 == config_.numWindows ? 0 : window + 1;
+    }
+
+    /** Move the CWP and recompute the cached window bases. */
+    void
+    setCwp(unsigned cwp)
+    {
+        cwp_ = cwp;
+        lowBase_ = windowBase(cwp);
+        highBase_ = windowBase(nextWindow(cwp));
+    }
+
+    /** Physical index of frameReg(@p window, @p index). */
+    unsigned
+    frameIndex(const char *what, unsigned window, unsigned index) const
+    {
+        if (window >= config_.numWindows ||
+            index >= config_.frameSize())
+            badFrameReg(what, window, index);
+        // HIGHs live in the LOW of the frame above.
+        return index < config_.overlap
+                   ? windowBase(nextWindow(window)) + index
+                   : windowBase(window) + index;
+    }
+
+    [[noreturn]] static void badRegister(unsigned reg);
+    [[noreturn]] static void badFrameReg(const char *what, unsigned window,
+                                         unsigned index);
 
     WindowConfig config_;
     std::vector<std::uint32_t> phys_;
     unsigned cwp_ = 0;
+    unsigned lowBase_ = 0;   ///< phys_ index of this window's r10
+    unsigned highBase_ = 0;  ///< phys_ index of this window's r26
 };
 
 } // namespace risc1

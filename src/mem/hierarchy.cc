@@ -71,30 +71,9 @@ Hierarchy::Hierarchy(const HierarchyConfig &config)
 }
 
 unsigned
-Hierarchy::fetch(std::uint32_t addr)
+Hierarchy::below(std::optional<Level> &l1, std::uint32_t addr, bool isWrite)
 {
-    unsigned cycles = 0;
-    if (l1i_) {
-        const Level::Access a = l1i_->access(addr, false);
-        cycles += a.cycles;
-        if (a.hit)
-            return cycles;
-    }
-    if (l2_)
-        cycles += l2_->access(addr, false).cycles;
-    return cycles;
-}
-
-unsigned
-Hierarchy::data(std::uint32_t addr, bool isWrite)
-{
-    unsigned cycles = 0;
-    if (l1d_) {
-        const Level::Access a = l1d_->access(addr, isWrite);
-        cycles += a.cycles;
-        if (a.hit)
-            return cycles;
-    }
+    unsigned cycles = l1 ? l1->miss(addr, isWrite) : 0;
     if (l2_)
         cycles += l2_->access(addr, isWrite).cycles;
     return cycles;

@@ -81,12 +81,22 @@ class Hierarchy
 
     /**
      * Instruction fetch at @p addr; @return penalty cycles charged.
-     * An L1I miss (or absent L1I) falls through to the L2.
+     * An L1I miss (or absent L1I) falls through to the L2.  An L1 hit
+     * is served inline.
      */
-    unsigned fetch(std::uint32_t addr);
+    unsigned
+    fetch(std::uint32_t addr)
+    {
+        return l1i_ && l1i_->hit(addr, false) ? 0 : below(l1i_, addr, false);
+    }
 
     /** Data access at @p addr; @return penalty cycles charged. */
-    unsigned data(std::uint32_t addr, bool isWrite);
+    unsigned
+    data(std::uint32_t addr, bool isWrite)
+    {
+        return l1d_ && l1d_->hit(addr, isWrite) ? 0
+                                                : below(l1d_, addr, isWrite);
+    }
 
     HierarchyStats stats() const;
 
@@ -103,6 +113,10 @@ class Hierarchy
     void restore(const HierarchySnapshot &snap);
 
   private:
+    /** After @p l1 missed or is absent: fill it, then access the L2. */
+    unsigned below(std::optional<Level> &l1, std::uint32_t addr,
+                   bool isWrite);
+
     HierarchyConfig config_;
     std::optional<Level> l1i_;
     std::optional<Level> l1d_;

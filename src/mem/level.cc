@@ -36,6 +36,8 @@ writePolicyName(WritePolicy policy)
 Level::Level(const LevelConfig &config)
     : config_(config)
 {
+    // Power-of-two geometry is what lets access() index with a mask
+    // and tag with a shift instead of dividing.
     if (!isPowerOfTwo(config_.sizeBytes) ||
         !isPowerOfTwo(config_.lineBytes) ||
         config_.lineBytes < 4 || config_.sizeBytes < config_.lineBytes)
@@ -43,48 +45,37 @@ Level::Level(const LevelConfig &config)
               "size >= line >= 4");
     numLines_ = config_.sizeBytes / config_.lineBytes;
     lineShift_ = log2u(config_.lineBytes);
+    indexBits_ = log2u(numLines_);
     tags_.assign(numLines_, 0);
-    valid_.assign(numLines_, false);
-    dirty_.assign(numLines_, false);
+    valid_.assign(numLines_, 0);
+    dirty_.assign(numLines_, 0);
 }
 
-Level::Access
-Level::access(std::uint32_t addr, bool isWrite)
+unsigned
+Level::miss(std::uint32_t addr, bool isWrite)
 {
     const std::uint32_t lineAddr = addr >> lineShift_;
-    const unsigned index = lineAddr % numLines_;
-    const std::uint32_t tag = lineAddr / numLines_;
-    const bool writeBack = config_.policy == WritePolicy::WriteBack;
-
-    Access out;
-    if (valid_[index] && tags_[index] == tag) {
-        ++stats_.hits;
-        out.hit = true;
-        if (isWrite && writeBack)
-            dirty_[index] = true;
-        return out;
-    }
-
+    const std::uint32_t index = lineAddr & (numLines_ - 1);
     ++stats_.misses;
-    out.cycles = config_.missPenaltyCycles;
+    unsigned cycles = config_.missPenaltyCycles;
     if (valid_[index] && dirty_[index]) {
         // Evicting a modified line: the victim must be written out
         // before the fill, costing another memory round trip.
         ++stats_.writebacks;
-        out.cycles += config_.missPenaltyCycles;
+        cycles += config_.missPenaltyCycles;
     }
-    valid_[index] = true;
-    tags_[index] = tag;
-    dirty_[index] = isWrite && writeBack;
-    stats_.penaltyCycles += out.cycles;
-    return out;
+    valid_[index] = 1;
+    tags_[index] = lineAddr >> indexBits_;
+    dirty_[index] = isWrite && config_.policy == WritePolicy::WriteBack;
+    stats_.penaltyCycles += cycles;
+    return cycles;
 }
 
 void
 Level::reset()
 {
-    valid_.assign(numLines_, false);
-    dirty_.assign(numLines_, false);
+    valid_.assign(numLines_, 0);
+    dirty_.assign(numLines_, 0);
     stats_.reset();
 }
 
@@ -97,7 +88,10 @@ Level::compatible(const LevelConfig &config) const
 LevelSnapshot
 Level::snapshot() const
 {
-    return LevelSnapshot{config_, tags_, valid_, dirty_, stats_};
+    return LevelSnapshot{config_, tags_,
+                         std::vector<bool>(valid_.begin(), valid_.end()),
+                         std::vector<bool>(dirty_.begin(), dirty_.end()),
+                         stats_};
 }
 
 void
@@ -106,8 +100,8 @@ Level::restore(const LevelSnapshot &snap)
     if (!compatible(snap.config))
         fatal("cache restore: snapshot geometry does not match");
     tags_ = snap.tags;
-    valid_ = snap.valid;
-    dirty_ = snap.dirty;
+    valid_.assign(snap.valid.begin(), snap.valid.end());
+    dirty_.assign(snap.dirty.begin(), snap.dirty.end());
     stats_ = snap.stats;
 }
 

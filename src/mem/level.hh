@@ -111,7 +111,39 @@ class Level
      * Access @p addr (misses allocate; write misses write-allocate).
      * Charged cycles are also accumulated into stats().penaltyCycles.
      */
-    Access access(std::uint32_t addr, bool isWrite = false);
+    Access
+    access(std::uint32_t addr, bool isWrite = false)
+    {
+        if (hit(addr, isWrite))
+            return Access{true, 0};
+        return Access{false, miss(addr, isWrite)};
+    }
+
+    /**
+     * The hit path of access(), inline: when @p addr's line is
+     * resident, count the hit (a write-back store also dirties the
+     * line) and return true; otherwise change nothing.  The
+     * power-of-two geometry makes the index a mask and the tag a
+     * shift of the line address.
+     */
+    bool
+    hit(std::uint32_t addr, bool isWrite)
+    {
+        const std::uint32_t lineAddr = addr >> lineShift_;
+        const std::uint32_t index = lineAddr & (numLines_ - 1);
+        if (!valid_[index] || tags_[index] != lineAddr >> indexBits_)
+            return false;
+        ++stats_.hits;
+        if (isWrite && config_.policy == WritePolicy::WriteBack)
+            dirty_[index] = 1;
+        return true;
+    }
+
+    /**
+     * The miss path of access(), out of line: allocate @p addr's line,
+     * writing back a dirty victim.  @return the cycles charged.
+     */
+    unsigned miss(std::uint32_t addr, bool isWrite);
 
     /** Invalidate all lines and reset statistics. */
     void reset();
@@ -131,10 +163,13 @@ class Level
   private:
     LevelConfig config_;
     unsigned numLines_;
-    unsigned lineShift_;
+    unsigned lineShift_;   ///< log2(lineBytes)
+    unsigned indexBits_;   ///< log2(numLines_)
     std::vector<std::uint32_t> tags_;
-    std::vector<bool> valid_;
-    std::vector<bool> dirty_;
+    /** Bytes, not vector<bool>: a byte test keeps the hit path small
+     *  enough to inline.  snapshot()/restore() convert. */
+    std::vector<std::uint8_t> valid_;
+    std::vector<std::uint8_t> dirty_;
     LevelStats stats_;
 };
 

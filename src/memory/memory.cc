@@ -61,15 +61,14 @@ Memory::Memory(std::size_t size)
 }
 
 void
-Memory::check(std::uint32_t addr, unsigned bytes) const
+Memory::fault(std::uint32_t addr, unsigned bytes) const
 {
     if (addr % bytes != 0)
         fatal(cat("misaligned ", bytes, "-byte access at address 0x",
                   std::hex, addr));
-    if (static_cast<std::size_t>(addr) + bytes > size_)
-        fatal(cat("out-of-range ", std::dec, bytes,
-                  "-byte access at address 0x", std::hex, addr,
-                  " (memory size 0x", size_, ")"));
+    fatal(cat("out-of-range ", std::dec, bytes,
+              "-byte access at address 0x", std::hex, addr,
+              " (memory size 0x", size_, ")"));
 }
 
 void
@@ -87,125 +86,11 @@ Memory::materialize(std::size_t p)
     owned_[p] = 1;
 }
 
-std::uint32_t
-Memory::readWord(std::uint32_t addr)
+Memory::LineGens &
+Memory::newGens(std::size_t p)
 {
-    check(addr, 4);
-    ++stats_.reads;
-    stats_.bytesRead += 4;
-    const std::uint8_t *b = ro(addr);
-    return static_cast<std::uint32_t>(b[0]) |
-           (static_cast<std::uint32_t>(b[1]) << 8) |
-           (static_cast<std::uint32_t>(b[2]) << 16) |
-           (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-std::uint16_t
-Memory::readHalf(std::uint32_t addr)
-{
-    check(addr, 2);
-    ++stats_.reads;
-    stats_.bytesRead += 2;
-    const std::uint8_t *b = ro(addr);
-    return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-}
-
-std::uint8_t
-Memory::readByte(std::uint32_t addr)
-{
-    check(addr, 1);
-    ++stats_.reads;
-    stats_.bytesRead += 1;
-    return *ro(addr);
-}
-
-void
-Memory::writeWord(std::uint32_t addr, std::uint32_t value)
-{
-    check(addr, 4);
-    ++stats_.writes;
-    stats_.bytesWritten += 4;
-    pokeWord(addr, value);
-}
-
-void
-Memory::writeHalf(std::uint32_t addr, std::uint16_t value)
-{
-    check(addr, 2);
-    ++stats_.writes;
-    stats_.bytesWritten += 2;
-    bumpLines(addr, 2);
-    std::uint8_t *b = rw(addr);
-    b[0] = static_cast<std::uint8_t>(value);
-    b[1] = static_cast<std::uint8_t>(value >> 8);
-}
-
-void
-Memory::writeByte(std::uint32_t addr, std::uint8_t value)
-{
-    check(addr, 1);
-    ++stats_.writes;
-    stats_.bytesWritten += 1;
-    bumpLines(addr, 1);
-    *rw(addr) = value;
-}
-
-std::uint32_t
-Memory::fetchWord(std::uint32_t addr)
-{
-    check(addr, 4);
-    ++stats_.fetches;
-    const std::uint8_t *b = ro(addr);
-    return static_cast<std::uint32_t>(b[0]) |
-           (static_cast<std::uint32_t>(b[1]) << 8) |
-           (static_cast<std::uint32_t>(b[2]) << 16) |
-           (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-std::uint8_t
-Memory::fetchByte(std::uint32_t addr)
-{
-    check(addr, 1);
-    ++stats_.fetches;
-    return *ro(addr);
-}
-
-std::uint32_t
-Memory::peekWord(std::uint32_t addr) const
-{
-    check(addr, 4);
-    const std::uint8_t *b = ro(addr);
-    return static_cast<std::uint32_t>(b[0]) |
-           (static_cast<std::uint32_t>(b[1]) << 8) |
-           (static_cast<std::uint32_t>(b[2]) << 16) |
-           (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-std::uint8_t
-Memory::peekByte(std::uint32_t addr) const
-{
-    check(addr, 1);
-    return *ro(addr);
-}
-
-void
-Memory::pokeWord(std::uint32_t addr, std::uint32_t value)
-{
-    check(addr, 4);
-    bumpLines(addr, 4);
-    std::uint8_t *b = rw(addr);
-    b[0] = static_cast<std::uint8_t>(value);
-    b[1] = static_cast<std::uint8_t>(value >> 8);
-    b[2] = static_cast<std::uint8_t>(value >> 16);
-    b[3] = static_cast<std::uint8_t>(value >> 24);
-}
-
-void
-Memory::pokeByte(std::uint32_t addr, std::uint8_t value)
-{
-    check(addr, 1);
-    bumpLines(addr, 1);
-    *rw(addr) = value;
+    lineGens_[p] = std::make_unique<LineGens>();
+    return *lineGens_[p];
 }
 
 void

@@ -144,30 +144,124 @@ class Memory
     std::size_t size() const { return size_; }
 
     // -- Data accesses (counted in reads/writes) -----------------------
-    std::uint32_t readWord(std::uint32_t addr);
-    std::uint16_t readHalf(std::uint32_t addr);
-    std::uint8_t readByte(std::uint32_t addr);
-    void writeWord(std::uint32_t addr, std::uint32_t value);
-    void writeHalf(std::uint32_t addr, std::uint16_t value);
-    void writeByte(std::uint32_t addr, std::uint8_t value);
+    //
+    // Every single access is inline.  Only the rare paths are out of
+    // line: the fault (fault()), a page's copy-on-write
+    // (materialize()) and its first line-generation block (newGens()).
+
+    std::uint32_t
+    readWord(std::uint32_t addr)
+    {
+        check(addr, 4);
+        ++stats_.reads;
+        stats_.bytesRead += 4;
+        return le32(ro(addr));
+    }
+
+    std::uint16_t
+    readHalf(std::uint32_t addr)
+    {
+        check(addr, 2);
+        ++stats_.reads;
+        stats_.bytesRead += 2;
+        const std::uint8_t *b = ro(addr);
+        return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
+    }
+
+    std::uint8_t
+    readByte(std::uint32_t addr)
+    {
+        check(addr, 1);
+        ++stats_.reads;
+        stats_.bytesRead += 1;
+        return *ro(addr);
+    }
+
+    void
+    writeWord(std::uint32_t addr, std::uint32_t value)
+    {
+        check(addr, 4);
+        ++stats_.writes;
+        stats_.bytesWritten += 4;
+        put32(addr, value);
+    }
+
+    void
+    writeHalf(std::uint32_t addr, std::uint16_t value)
+    {
+        check(addr, 2);
+        ++stats_.writes;
+        stats_.bytesWritten += 2;
+        bumpLine(addr);
+        std::uint8_t *b = rw(addr);
+        b[0] = static_cast<std::uint8_t>(value);
+        b[1] = static_cast<std::uint8_t>(value >> 8);
+    }
+
+    void
+    writeByte(std::uint32_t addr, std::uint8_t value)
+    {
+        check(addr, 1);
+        ++stats_.writes;
+        stats_.bytesWritten += 1;
+        put8(addr, value);
+    }
 
     // -- Instruction fetch (counted separately) ------------------------
-    std::uint32_t fetchWord(std::uint32_t addr);
+    std::uint32_t
+    fetchWord(std::uint32_t addr)
+    {
+        check(addr, 4);
+        ++stats_.fetches;
+        return le32(ro(addr));
+    }
+
     /** Variable-length fetch for the CISC machine (1 byte). */
-    std::uint8_t fetchByte(std::uint32_t addr);
+    std::uint8_t
+    fetchByte(std::uint32_t addr)
+    {
+        check(addr, 1);
+        ++stats_.fetches;
+        return *ro(addr);
+    }
+
     /**
-     * Account one instruction fetch without touching memory.  The
-     * predecoded fast path uses this when it serves an instruction from
-     * its decode cache, so MemoryStats stay bit-identical to the
-     * fetch-every-step reference interpreter.
+     * Account @p count instruction fetches without touching memory.
+     * The predecoded fast paths use this when they serve an
+     * instruction from their decode cache, so MemoryStats stay
+     * bit-identical to the fetch-every-step reference interpreters.
      */
-    void countFetch() { ++stats_.fetches; }
+    void countFetch(std::uint64_t count = 1) { stats_.fetches += count; }
 
     // -- Uncounted debug/loader access ---------------------------------
-    std::uint32_t peekWord(std::uint32_t addr) const;
-    std::uint8_t peekByte(std::uint32_t addr) const;
-    void pokeWord(std::uint32_t addr, std::uint32_t value);
-    void pokeByte(std::uint32_t addr, std::uint8_t value);
+    std::uint32_t
+    peekWord(std::uint32_t addr) const
+    {
+        check(addr, 4);
+        return le32(ro(addr));
+    }
+
+    std::uint8_t
+    peekByte(std::uint32_t addr) const
+    {
+        check(addr, 1);
+        return *ro(addr);
+    }
+
+    void
+    pokeWord(std::uint32_t addr, std::uint32_t value)
+    {
+        check(addr, 4);
+        put32(addr, value);
+    }
+
+    void
+    pokeByte(std::uint32_t addr, std::uint8_t value)
+    {
+        check(addr, 1);
+        put8(addr, value);
+    }
+
     /** Copy a block of bytes into memory (loader). */
     void load(std::uint32_t addr, const std::uint8_t *bytes,
               std::size_t count);
@@ -236,7 +330,51 @@ class Memory
   private:
     using LineGens = std::array<std::uint64_t, linesPerPage>;
 
-    void check(std::uint32_t addr, unsigned bytes) const;
+    /**
+     * Fault unless the @p bytes-wide access at @p addr is aligned and
+     * in range.  Alignment is checked first, so an access that is
+     * both misaligned and out of range reports the misalignment.
+     */
+    void
+    check(std::uint32_t addr, unsigned bytes) const
+    {
+        if ((addr & (bytes - 1)) != 0 ||
+            static_cast<std::size_t>(addr) + bytes > size_)
+            fault(addr, bytes);
+    }
+
+    /** Raise check()'s FatalError for a failed access. */
+    [[noreturn]] void fault(std::uint32_t addr, unsigned bytes) const;
+
+    /** Store a checked little-endian word. */
+    void
+    put32(std::uint32_t addr, std::uint32_t value)
+    {
+        bumpLine(addr);
+        std::uint8_t *b = rw(addr);
+        b[0] = static_cast<std::uint8_t>(value);
+        b[1] = static_cast<std::uint8_t>(value >> 8);
+        b[2] = static_cast<std::uint8_t>(value >> 16);
+        b[3] = static_cast<std::uint8_t>(value >> 24);
+    }
+
+    /** Store a checked byte. */
+    void
+    put8(std::uint32_t addr, std::uint8_t value)
+    {
+        bumpLine(addr);
+        *rw(addr) = value;
+    }
+
+    /** Little-endian word at @p b. */
+    static std::uint32_t
+    le32(const std::uint8_t *b)
+    {
+        return static_cast<std::uint32_t>(b[0]) |
+               (static_cast<std::uint32_t>(b[1]) << 8) |
+               (static_cast<std::uint32_t>(b[2]) << 16) |
+               (static_cast<std::uint32_t>(b[3]) << 24);
+    }
 
     /** Read-only byte pointer; aligned accesses stay on one page. */
     const std::uint8_t *
@@ -263,6 +401,14 @@ class Memory
 
     void materialize(std::size_t p);
 
+    /** Move the write generation of the line holding @p addr (an
+     *  aligned access never spans two lines). */
+    void
+    bumpLine(std::uint32_t addr)
+    {
+        ++gens(addr / pageBytes)[addr % pageBytes / genLineBytes];
+    }
+
     /** Move the write generations of the lines [addr, addr+bytes) span. */
     void
     bumpLines(std::uint32_t addr, std::size_t bytes)
@@ -279,10 +425,11 @@ class Memory
     LineGens &
     gens(std::size_t p)
     {
-        if (!lineGens_[p])
-            lineGens_[p] = std::make_unique<LineGens>();
-        return *lineGens_[p];
+        return lineGens_[p] ? *lineGens_[p] : newGens(p);
     }
+
+    /** Allocate page @p p's per-line generations (first write). */
+    LineGens &newGens(std::size_t p);
 
     std::size_t size_;
     std::vector<PageRef> pages_;  ///< one handle per page; zero singleton if untouched

@@ -93,6 +93,14 @@ class DecodeCache
                    mem.lineGen((addr + span - 1) / Memory::genLineBytes);
     }
 
+    /** valid() for a span that stays within @p addr's line, such as
+     *  an aligned word: one generation read. */
+    static bool
+    validInLine(const Slot &s, const Memory &mem, std::uint32_t addr)
+    {
+        return s.gen == mem.lineGen(addr / Memory::genLineBytes);
+    }
+
     /** Stamp @p s with the current generations of its span's lines. */
     static void
     revalidate(Slot &s, const Memory &mem, std::uint32_t addr,

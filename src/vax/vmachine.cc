@@ -959,9 +959,8 @@ VaxMachine::runFast(std::uint64_t maxSteps)
             stats_.cycles += hier_->fetch(pc);
 
         // Account the instruction stream exactly as the byte-wise
-        // reference fetch loop would.
-        for (unsigned i = 0; i < p.len; ++i)
-            mem_.countFetch();
+        // reference fetch loop would: one fetch per byte.
+        mem_.countFetch(p.len);
         stats_.instrBytes += p.len;
 
         ++stats_.instructions;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "helpers.hh"
 #include "mem/level.hh"
 #include "workloads/workloads.hh"
@@ -81,6 +84,105 @@ TEST(Cache, WriteBackChargesDirtyEviction)
     // A read-allocated line evicts for free.
     cache.access(0x80, false); // evicts the clean 0x40 line
     EXPECT_EQ(cache.stats().writebacks, 1u);
+}
+
+/**
+ * An independent direct-mapped model of mem::Level that computes
+ * index and tag with % and / instead of masks and shifts.
+ */
+class DivisionModel
+{
+  public:
+    explicit DivisionModel(const mem::LevelConfig &config)
+        : config_(config), numLines_(config.sizeBytes / config.lineBytes),
+          tags_(numLines_), valid_(numLines_), dirty_(numLines_)
+    {}
+
+    mem::Level::Access
+    access(std::uint32_t addr, bool isWrite)
+    {
+        const std::uint32_t line = addr / config_.lineBytes;
+        const std::uint32_t index = line % numLines_;
+        const std::uint32_t tag = line / numLines_;
+        const bool writeBack =
+            config_.policy == mem::WritePolicy::WriteBack;
+        if (valid_[index] && tags_[index] == tag) {
+            ++stats_.hits;
+            if (isWrite && writeBack)
+                dirty_[index] = true;
+            return {true, 0};
+        }
+        ++stats_.misses;
+        unsigned cycles = config_.missPenaltyCycles;
+        if (valid_[index] && dirty_[index]) {
+            ++stats_.writebacks;
+            cycles += config_.missPenaltyCycles;
+        }
+        valid_[index] = true;
+        tags_[index] = tag;
+        dirty_[index] = isWrite && writeBack;
+        stats_.penaltyCycles += cycles;
+        return {false, cycles};
+    }
+
+    const mem::LevelStats &stats() const { return stats_; }
+
+  private:
+    mem::LevelConfig config_;
+    std::uint32_t numLines_;
+    std::vector<std::uint32_t> tags_;
+    std::vector<bool> valid_;
+    std::vector<bool> dirty_;
+    mem::LevelStats stats_;
+};
+
+TEST(Cache, IndexAndTagMatchDivisionModel)
+{
+    // Every level geometry sweep and riscbench run: the L1I sizes of
+    // fig_icache_sweep, the split L1D and the write-back L2 of
+    // fig_mem_hierarchy.
+    std::vector<mem::LevelConfig> geometries;
+    for (std::uint32_t size = 64; size <= 8192; size *= 2)
+        geometries.push_back({size, 16, 4});
+    geometries.push_back({256, 16, 4});
+    geometries.push_back({1024, 32, 12, mem::WritePolicy::WriteBack});
+
+    for (const mem::LevelConfig &config : geometries) {
+        SCOPED_TRACE(cat(config.sizeBytes, "B/", config.lineBytes, "B ",
+                         mem::writePolicyName(config.policy)));
+        mem::Level level(config);
+        DivisionModel model(config);
+        Rng rng(config.sizeBytes * 31 + config.lineBytes);
+        // Half the stream walks sequentially (hits within a line), a
+        // quarter revisits a few working sets about twice the level's
+        // size (conflicts and dirty evictions), and a quarter goes
+        // anywhere in the 32-bit space.  Two sets sit at or above 2^31.
+        const std::uint32_t bases[4] = {
+            0x80000000u, 0xfffff000u,
+            static_cast<std::uint32_t>(rng.next()), 0x1000u};
+        std::uint32_t addr = 0;
+        for (int i = 0; i < 20000; ++i) {
+            if (rng.chance(1, 2))
+                addr += 4;
+            else if (rng.chance(1, 2))
+                addr = bases[rng.below(4)] +
+                       static_cast<std::uint32_t>(
+                           rng.below(2 * config.sizeBytes));
+            else
+                addr = static_cast<std::uint32_t>(rng.next());
+            const bool isWrite = rng.chance(1, 3);
+            const mem::Level::Access got = level.access(addr, isWrite);
+            const mem::Level::Access want = model.access(addr, isWrite);
+            ASSERT_EQ(got.hit, want.hit) << "access " << i;
+            ASSERT_EQ(got.cycles, want.cycles) << "access " << i;
+        }
+        EXPECT_EQ(level.stats(), model.stats());
+        EXPECT_GT(level.stats().hits, 0u);
+        EXPECT_GT(level.stats().misses, 0u);
+        if (config.policy == mem::WritePolicy::WriteBack) {
+            EXPECT_GT(level.stats().writebacks, 0u);
+        }
+    }
 }
 
 TEST(MachineIcache, DisabledByDefault)

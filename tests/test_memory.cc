@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -47,6 +48,35 @@ TEST(Memory, OutOfRangeRejected)
     EXPECT_THROW(mem.readByte(4096), FatalError);
     EXPECT_THROW(mem.writeWord(4094 + 4, 0), FatalError);
     EXPECT_NO_THROW(mem.readWord(4092));
+}
+
+/** The FatalError text an access raises ("" when it raises none). */
+template <typename Access>
+std::string
+faultText(Access &&access)
+{
+    try {
+        access();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Memory, FaultTextIsPinned)
+{
+    // These strings reach riscdiff reports, postmortems and riscserved
+    // replies.  Alignment is checked before range.
+    Memory mem(4096);
+    EXPECT_EQ(faultText([&] { mem.readWord(2); }),
+              "misaligned 4-byte access at address 0x2");
+    EXPECT_EQ(faultText([&] { mem.readWord(4096); }),
+              "out-of-range 4-byte access at address 0x1000 "
+              "(memory size 0x1000)");
+    EXPECT_EQ(faultText([&] { mem.readWord(4097); }),
+              "misaligned 4-byte access at address 0x1001");
+    EXPECT_EQ(faultText([&] { mem.writeHalf(4095, 0); }),
+              "misaligned 2-byte access at address 0xfff");
 }
 
 TEST(Memory, StatsCountAccesses)

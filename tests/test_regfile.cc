@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/logging.hh"
 #include "core/regfile.hh"
 
@@ -157,6 +159,129 @@ TEST(RegFile, ResetClearsState)
     EXPECT_EQ(rf.cwp(), 0u);
     EXPECT_EQ(rf.read(16), 0u);
 }
+
+/**
+ * Property: at every CWP — reached through restore(), which must
+ * recompute the file's cached window bases — each visible register
+ * maps to the physical index docs/ISA.md's layout gives: globals at r,
+ * LOW/LOCAL at windowBase(cwp) + r - 10, HIGH at
+ * windowBase((cwp + 1) % n) + r - 26, with windowBase(w) = 10 + 16w.
+ */
+class RegFileMapping : public ::testing::TestWithParam<unsigned>
+{
+  protected:
+    unsigned n() const { return GetParam(); }
+
+    static unsigned windowBase(unsigned w) { return 10 + 16 * w; }
+
+    unsigned
+    expectedIndex(unsigned cwp, unsigned r) const
+    {
+        if (r < 10)
+            return r;
+        if (r < 26)
+            return windowBase(cwp) + r - 10;
+        return windowBase((cwp + 1) % n()) + r - 26;
+    }
+
+    unsigned
+    expectedFrameIndex(unsigned w, unsigned i) const
+    {
+        return i < 6 ? windowBase((w + 1) % n()) + i : windowBase(w) + i;
+    }
+
+    RegFile
+    makeFile() const
+    {
+        WindowConfig cfg;
+        cfg.numWindows = n();
+        return RegFile(cfg);
+    }
+
+    /** Physical contents with a distinct value in every register. */
+    std::vector<std::uint32_t>
+    distinct(const RegFile &rf) const
+    {
+        std::vector<std::uint32_t> phys(rf.physRegs().size());
+        for (std::size_t i = 0; i < phys.size(); ++i)
+            phys[i] = 0x1000 + static_cast<std::uint32_t>(i);
+        phys[0] = 0; // r0
+        return phys;
+    }
+};
+
+TEST_P(RegFileMapping, ReadAndWriteAtEveryRestoredCwp)
+{
+    RegFile rf = makeFile();
+    const std::vector<std::uint32_t> phys = distinct(rf);
+    for (unsigned cwp = 0; cwp < n(); ++cwp) {
+        rf.restore(phys, cwp);
+        ASSERT_EQ(rf.cwp(), cwp);
+        for (unsigned r = 1; r < 32; ++r) {
+            const unsigned idx = expectedIndex(cwp, r);
+            EXPECT_EQ(rf.physIndex(r), idx) << "cwp " << cwp << " r" << r;
+            EXPECT_EQ(rf.read(r), phys[idx]) << "cwp " << cwp << " r" << r;
+        }
+        for (unsigned r = 1; r < 32; ++r) {
+            rf.restore(phys, cwp);
+            rf.write(r, 0xabcd0000u + r);
+            std::vector<std::uint32_t> want = phys;
+            want[expectedIndex(cwp, r)] = 0xabcd0000u + r;
+            EXPECT_EQ(rf.physRegs(), want) << "cwp " << cwp << " r" << r;
+        }
+    }
+}
+
+TEST_P(RegFileMapping, FrameRegAgreesWithLayout)
+{
+    RegFile rf = makeFile();
+    const std::vector<std::uint32_t> phys = distinct(rf);
+    for (unsigned cwp = 0; cwp < n(); ++cwp) {
+        rf.restore(phys, cwp);
+        for (unsigned w = 0; w < n(); ++w)
+            for (unsigned i = 0; i < 16; ++i) {
+                const unsigned idx = expectedFrameIndex(w, i);
+                EXPECT_EQ(rf.frameReg(w, i), phys[idx])
+                    << "window " << w << " index " << i;
+                rf.setFrameReg(w, i, 0x5a5a0000u + i);
+                EXPECT_EQ(rf.physRegs()[idx], 0x5a5a0000u + i);
+                rf.setFrameReg(w, i, phys[idx]);
+            }
+        EXPECT_EQ(rf.physRegs(), phys);
+        // The current frame's HIGHs and LOCALs are its r26..r31 and
+        // r16..r25.
+        for (unsigned i = 0; i < 6; ++i)
+            EXPECT_EQ(rf.frameReg(cwp, i), rf.read(26 + i));
+        for (unsigned i = 6; i < 16; ++i)
+            EXPECT_EQ(rf.frameReg(cwp, i), rf.read(10 + i));
+    }
+}
+
+TEST_P(RegFileMapping, PushAndPopWrapAndRemap)
+{
+    RegFile rf = makeFile();
+    const std::vector<std::uint32_t> phys = distinct(rf);
+    for (unsigned cwp = 0; cwp < n(); ++cwp) {
+        rf.restore(phys, cwp);
+        rf.pushWindow();
+        const unsigned down = (cwp + n() - 1) % n();
+        ASSERT_EQ(rf.cwp(), down);
+        for (unsigned r = 1; r < 32; ++r)
+            EXPECT_EQ(rf.read(r), phys[expectedIndex(down, r)])
+                << "after push from cwp " << cwp << ", r" << r;
+
+        rf.restore(phys, cwp);
+        rf.popWindow();
+        const unsigned up = (cwp + 1) % n();
+        ASSERT_EQ(rf.cwp(), up);
+        for (unsigned r = 1; r < 32; ++r)
+            EXPECT_EQ(rf.read(r), phys[expectedIndex(up, r)])
+                << "after pop from cwp " << cwp << ", r" << r;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(WindowCounts, RegFileMapping,
+                         ::testing::Values(2u, 3u, 4u, 6u, 8u));
 
 /** Property: nesting depth up to capacity preserves every frame. */
 class RegFileNesting : public ::testing::TestWithParam<unsigned>
