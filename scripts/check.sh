@@ -221,14 +221,6 @@ echo "-- telemetry ok: requests $SCRAPED_REQS -> $FINAL_REQS," \
      "$(wc -l < "$SRV_EVENTS") event-log lines"
 rm -rf "$SRV_SPOOL" "$SRV_SOCK" "$SRV_LOG"
 
-echo
-echo "== bench smoke: dispatch fast path =="
-(cd "$BUILD" && ./bench/bench_dispatch --benchmark_min_time=0.01 > /dev/null)
-test -s "$BUILD/bench/out/BENCH_dispatch.json" || {
-    echo "missing artifact: $BUILD/bench/out/BENCH_dispatch.json" >&2
-    exit 1
-}
-
 # Benchmark smoke (perfbench/README.md): perfbench is its own CMake
 # package linked against src/ through the public Target and lang API,
 # so nothing else compiles it.  Build it and run a 2 s diff workload;

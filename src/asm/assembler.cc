@@ -3,7 +3,7 @@
 #include <optional>
 #include <vector>
 
-#include "asm/parser.hh"
+#include "asm/core.hh"
 #include "common/bitfield.hh"
 #include "common/logging.hh"
 #include "isa/instruction.hh"
@@ -73,28 +73,58 @@ splitImmediate(std::int64_t value)
     return s;
 }
 
-class RiscAssembler
+class RiscAssembler final : public AsmCore
 {
   public:
-    RiscAssembler(const std::string &source, const AsmOptions &options)
-        : options_(options), stmts_(parseRiscSource(source))
-    {}
-
-    Program
-    assemble()
-    {
-        passOne();
-        passTwo();
-        resolveEntry();
-        return std::move(program_);
-    }
+    RiscAssembler() : AsmCore(4, "use .align") {}
 
   private:
-    // -- Error helper ---------------------------------------------------
-    [[noreturn]] void
-    err(const Stmt &stmt, const std::string &msg)
+    std::optional<unsigned>
+    regName(const std::string &name) const override
     {
-        fatal(cat("line ", stmt.line, ": ", msg));
+        return parseRegName(name);
+    }
+
+    /** Parse one operand: register, expr(reg), (reg), string, or expr. */
+    Operand
+    parseOperand(TokenCursor &cur) const override
+    {
+        Operand op;
+        const Token &tok = cur.peek();
+        if (tok.kind == TokKind::Str) {
+            op.kind = OperandKind::Str;
+            op.str = cur.get().text;
+            return op;
+        }
+        if (tok.kind == TokKind::Ident) {
+            if (auto reg = parseRegName(tok.text)) {
+                cur.get();
+                op.kind = OperandKind::Reg;
+                op.reg = *reg;
+                return op;
+            }
+        }
+        if (tok.kind == TokKind::LParen) {
+            // "(rN)" with implicit zero displacement.
+            op.kind = OperandKind::Mem;
+            op.reg = parenReg(cur);
+            op.expr = Expr::constant(0);
+            return op;
+        }
+        return exprOrMem(cur);
+    }
+
+    unsigned
+    encode(const Stmt &stmt, std::vector<std::uint8_t> &out) override
+    {
+        // Multi-word pseudos use stmt.address as '.' for every word.
+        const auto insts = expand(stmt);
+        for (const auto &inst : insts) {
+            const std::uint32_t w = inst.encode();
+            for (int b = 0; b < 4; ++b)
+                out.push_back(static_cast<std::uint8_t>(w >> (8 * b)));
+        }
+        return static_cast<unsigned>(insts.size());
     }
 
     // -- Operand interpretation ------------------------------------------
@@ -106,15 +136,6 @@ class RiscAssembler
             err(stmt, cat("operand ", idx + 1, " of '", stmt.mnemonic,
                           "' must be a register"));
         return stmt.operands[idx].reg;
-    }
-
-    std::int64_t
-    evalExpr(const Stmt &stmt, const Expr &expr)
-    {
-        for (const auto &t : expr.terms)
-            if (t.isSymbol && !symbols_.contains(t.symbol))
-                err(stmt, cat("undefined symbol '", t.symbol, "'"));
-        return expr.eval(symbols_, stmt.address);
     }
 
     Cond
@@ -197,27 +218,25 @@ class RiscAssembler
 
     // -- Instruction expansion -------------------------------------------
 
-    /** Number of machine words a statement expands to (pass 1). */
+    /** Bytes a statement expands to (pass 1): one word, or two. */
     unsigned
-    instructionWords(Stmt &stmt)
+    instructionSize(Stmt &stmt) override
     {
         const std::string &m = stmt.mnemonic;
         if (m == "ldi" || m == "mov") {
             // mov rd, rN is a single add; constants may need ldhi+add.
             if (stmt.operands.size() == 2 &&
                 stmt.operands[1].kind == OperandKind::Reg)
-                return 1;
+                return 4;
             if (stmt.operands.size() == 2 &&
-                stmt.operands[1].kind == OperandKind::Expr &&
-                stmt.operands[1].expr.resolvable(symbols_)) {
-                const std::int64_t v =
-                    stmt.operands[1].expr.eval(symbols_, stmt.address);
-                if (fitsSigned(v, 13))
-                    return 1;
+                stmt.operands[1].kind == OperandKind::Expr) {
+                const auto v = known(stmt, stmt.operands[1].expr);
+                if (v && fitsSigned(*v, 13))
+                    return 4;
             }
-            return 2;
+            return 8;
         }
-        return 1;
+        return 4;
     }
 
     /** Expand one instruction statement to machine instructions. */
@@ -438,246 +457,14 @@ class RiscAssembler
         out.push_back(inst);
         return out;
     }
-
-    // -- Directive sizing and emission -------------------------------------
-
-    /** Size in bytes of a directive (pass 1). */
-    unsigned
-    directiveSize(Stmt &stmt, std::uint32_t addr)
-    {
-        const std::string &m = stmt.mnemonic;
-        if (m == ".word")
-            return 4 * static_cast<unsigned>(stmt.operands.size());
-        if (m == ".half")
-            return 2 * static_cast<unsigned>(stmt.operands.size());
-        if (m == ".byte")
-            return static_cast<unsigned>(stmt.operands.size());
-        if (m == ".space") {
-            if (stmt.operands.size() != 1 ||
-                !stmt.operands[0].expr.resolvable(symbols_))
-                err(stmt, ".space needs one resolvable expression");
-            const std::int64_t n =
-                stmt.operands[0].expr.eval(symbols_, addr);
-            if (n < 0)
-                err(stmt, ".space with negative size");
-            return static_cast<unsigned>(n);
-        }
-        if (m == ".ascii" || m == ".asciz") {
-            unsigned total = 0;
-            for (const auto &op : stmt.operands) {
-                if (op.kind != OperandKind::Str)
-                    err(stmt, cat(m, " takes string operands"));
-                total += static_cast<unsigned>(op.str.size());
-                if (m == ".asciz")
-                    total += 1;
-            }
-            return total;
-        }
-        if (m == ".align") {
-            if (stmt.operands.size() != 1 ||
-                !stmt.operands[0].expr.resolvable(symbols_))
-                err(stmt, ".align needs one resolvable expression");
-            const std::int64_t a =
-                stmt.operands[0].expr.eval(symbols_, addr);
-            if (a <= 0 || (a & (a - 1)) != 0)
-                err(stmt, ".align needs a power of two");
-            const auto align = static_cast<std::uint32_t>(a);
-            return (align - (addr % align)) % align;
-        }
-        // .org/.equ/.entry/.end_marker occupy no space.
-        return 0;
-    }
-
-    // -- Passes -----------------------------------------------------------
-
-    void
-    passOne()
-    {
-        std::uint32_t addr = options_.defaultOrg;
-        for (auto &stmt : stmts_) {
-            // Handle location-changing directives before labels bind.
-            if (stmt.type == Stmt::Type::Directive &&
-                stmt.mnemonic == ".org") {
-                if (stmt.operands.size() != 1 ||
-                    !stmt.operands[0].expr.resolvable(symbols_))
-                    err(stmt, ".org needs one resolvable expression");
-                const std::int64_t a =
-                    stmt.operands[0].expr.eval(symbols_, addr);
-                if (a < 0 || a % 4 != 0)
-                    err(stmt, ".org address must be non-negative and "
-                              "word-aligned");
-                addr = static_cast<std::uint32_t>(a);
-            }
-
-            stmt.address = addr;
-            for (const auto &label : stmt.labels) {
-                if (symbols_.contains(label))
-                    err(stmt, cat("duplicate label '", label, "'"));
-                symbols_[label] = addr;
-            }
-
-            if (stmt.type == Stmt::Type::Directive) {
-                if (stmt.mnemonic == ".equ") {
-                    if (stmt.operands.size() != 2)
-                        err(stmt, ".equ takes: name, expression");
-                    const auto name =
-                        stmt.operands[0].expr.asBareSymbol();
-                    if (!name)
-                        err(stmt, ".equ first operand must be a name");
-                    if (!stmt.operands[1].expr.resolvable(symbols_))
-                        err(stmt, ".equ expression must be resolvable");
-                    if (symbols_.contains(*name))
-                        err(stmt, cat("duplicate symbol '", *name, "'"));
-                    symbols_[*name] = static_cast<std::uint32_t>(
-                        stmt.operands[1].expr.eval(symbols_, addr));
-                    stmt.size = 0;
-                } else if (stmt.mnemonic == ".org" ||
-                           stmt.mnemonic == ".entry" ||
-                           stmt.mnemonic == ".end_marker") {
-                    stmt.size = 0;
-                } else if (stmt.mnemonic == ".word" ||
-                           stmt.mnemonic == ".half" ||
-                           stmt.mnemonic == ".byte" ||
-                           stmt.mnemonic == ".space" ||
-                           stmt.mnemonic == ".ascii" ||
-                           stmt.mnemonic == ".asciz" ||
-                           stmt.mnemonic == ".align") {
-                    stmt.size = directiveSize(stmt, addr);
-                } else {
-                    err(stmt, cat("unknown directive '", stmt.mnemonic,
-                                  "'"));
-                }
-            } else {
-                if (addr % 4 != 0)
-                    err(stmt, "instruction at unaligned address");
-                stmt.size = 4 * instructionWords(stmt);
-            }
-            addr += stmt.size;
-        }
-    }
-
-    void
-    emit(std::uint32_t addr, SegmentKind kind,
-         const std::vector<std::uint8_t> &bytes)
-    {
-        if (bytes.empty())
-            return;
-        Segment *seg = program_.segments.empty()
-                           ? nullptr
-                           : &program_.segments.back();
-        if (!seg || seg->kind != kind ||
-            seg->base + seg->bytes.size() != addr) {
-            program_.segments.push_back(Segment{addr, kind, {}});
-            seg = &program_.segments.back();
-        }
-        seg->bytes.insert(seg->bytes.end(), bytes.begin(), bytes.end());
-    }
-
-    static void
-    appendWord(std::vector<std::uint8_t> &bytes, std::uint32_t w)
-    {
-        bytes.push_back(static_cast<std::uint8_t>(w));
-        bytes.push_back(static_cast<std::uint8_t>(w >> 8));
-        bytes.push_back(static_cast<std::uint8_t>(w >> 16));
-        bytes.push_back(static_cast<std::uint8_t>(w >> 24));
-    }
-
-    void
-    passTwo()
-    {
-        for (auto &stmt : stmts_) {
-            std::vector<std::uint8_t> bytes;
-            if (stmt.type == Stmt::Type::Instruction) {
-                const auto insts = expand(stmt);
-                if (insts.size() * 4 != stmt.size)
-                    panic(cat("line ", stmt.line,
-                              ": pass disagreement on statement size"));
-                // For multi-word pseudos the later words' '.' would
-                // shift; expansion already used stmt.address for all.
-                for (const auto &inst : insts)
-                    appendWord(bytes, inst.encode());
-                program_.staticInstructions += insts.size();
-                emit(stmt.address, SegmentKind::Code, bytes);
-                continue;
-            }
-
-            const std::string &m = stmt.mnemonic;
-            if (m == ".word") {
-                if (stmt.address % 4 != 0)
-                    err(stmt, ".word at unaligned address (use .align)");
-                for (const auto &op : stmt.operands)
-                    appendWord(bytes, static_cast<std::uint32_t>(
-                                           evalExpr(stmt, op.expr)));
-            } else if (m == ".half") {
-                if (stmt.address % 2 != 0)
-                    err(stmt, ".half at unaligned address (use .align)");
-                for (const auto &op : stmt.operands) {
-                    const auto v = static_cast<std::uint32_t>(
-                        evalExpr(stmt, op.expr));
-                    bytes.push_back(static_cast<std::uint8_t>(v));
-                    bytes.push_back(static_cast<std::uint8_t>(v >> 8));
-                }
-            } else if (m == ".byte") {
-                for (const auto &op : stmt.operands)
-                    bytes.push_back(static_cast<std::uint8_t>(
-                        evalExpr(stmt, op.expr)));
-            } else if (m == ".space" || m == ".align") {
-                bytes.assign(stmt.size, 0);
-            } else if (m == ".ascii" || m == ".asciz") {
-                for (const auto &op : stmt.operands) {
-                    bytes.insert(bytes.end(), op.str.begin(),
-                                 op.str.end());
-                    if (m == ".asciz")
-                        bytes.push_back(0);
-                }
-            } else if (m == ".entry") {
-                if (stmt.operands.size() != 1)
-                    err(stmt, ".entry takes one expression");
-                entry_ = static_cast<std::uint32_t>(
-                    evalExpr(stmt, stmt.operands[0].expr));
-            }
-            emit(stmt.address, SegmentKind::Data, bytes);
-        }
-        program_.symbols = symbols_;
-    }
-
-    void
-    resolveEntry()
-    {
-        if (entry_) {
-            program_.entry = *entry_;
-            return;
-        }
-        for (const char *name : {"start", "main", "_start"}) {
-            const auto it = symbols_.find(name);
-            if (it != symbols_.end()) {
-                program_.entry = it->second;
-                return;
-            }
-        }
-        for (const auto &seg : program_.segments) {
-            if (seg.kind == SegmentKind::Code) {
-                program_.entry = seg.base;
-                return;
-            }
-        }
-        fatal("program has no code and no entry point");
-    }
-
-    AsmOptions options_;
-    std::vector<Stmt> stmts_;
-    std::map<std::string, std::uint32_t> symbols_;
-    std::optional<std::uint32_t> entry_;
-    Program program_;
 };
 
 } // namespace
 
 Program
-assembleRisc(const std::string &source, const AsmOptions &options)
+assembleRisc(const std::string &source)
 {
-    RiscAssembler assembler(source, options);
-    return assembler.assemble();
+    return RiscAssembler().assemble(source);
 }
 
 } // namespace risc1

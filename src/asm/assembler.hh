@@ -1,6 +1,8 @@
 /**
  * @file
- * Two-pass RISC I assembler.
+ * RISC I assembler: its register names (r0..r31), operand grammar,
+ * pseudo-instruction sizing and encoder, on the shared two-pass core
+ * (asm/core.hh) that owns statements, directives and symbols.
  *
  * Syntax overview (see README for the full reference):
  *
@@ -22,8 +24,11 @@
  * halt, call <label>, ret (no operands), and b<cond> <label> for every
  * jump condition.
  *
- * Directives: .org .word .half .byte .space .ascii .asciz .align .equ
- * .entry
+ * Operand forms: rN, expr, expr(rN), (rN) and "string".
+ *
+ * Directives: the core's set (.org .word .half .byte .space .ascii
+ * .asciz .align .equ .entry).  Instructions sit on 4-byte boundaries,
+ * so `.org` must be word-aligned.
  */
 
 #ifndef RISC1_ASM_ASSEMBLER_HH
@@ -35,19 +40,11 @@
 
 namespace risc1 {
 
-/** Assembler options. */
-struct AsmOptions
-{
-    /** Load address used before the first .org. */
-    std::uint32_t defaultOrg = 0x1000;
-};
-
 /**
  * Assemble RISC I source text into a program image.
  * @throws FatalError with line information on any error.
  */
-Program assembleRisc(const std::string &source,
-                     const AsmOptions &options = AsmOptions{});
+Program assembleRisc(const std::string &source);
 
 } // namespace risc1
 

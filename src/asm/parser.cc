@@ -1,6 +1,5 @@
 #include "asm/parser.hh"
 
-#include <algorithm>
 #include <cctype>
 
 #include "common/logging.hh"
@@ -146,137 +145,6 @@ parseRegName(const std::string &name)
     if (name.size() == 3 && name[1] == '0')
         return std::nullopt; // reject "r01"
     return value;
-}
-
-namespace {
-
-std::string
-toLower(std::string s)
-{
-    std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-        return static_cast<char>(std::tolower(c));
-    });
-    return s;
-}
-
-/** Parse one operand: register, expr(reg), (reg), string, or expr. */
-Operand
-parseOperand(TokenCursor &cur)
-{
-    Operand op;
-    const Token &tok = cur.peek();
-
-    if (tok.kind == TokKind::Str) {
-        op.kind = OperandKind::Str;
-        op.str = cur.get().text;
-        return op;
-    }
-    if (tok.kind == TokKind::Ident) {
-        if (auto reg = parseRegName(tok.text)) {
-            cur.get();
-            op.kind = OperandKind::Reg;
-            op.reg = *reg;
-            return op;
-        }
-    }
-    if (tok.kind == TokKind::LParen) {
-        // "(rN)" with implicit zero displacement.
-        cur.get();
-        const Token regTok = cur.expect(TokKind::Ident, "register");
-        const auto reg = parseRegName(regTok.text);
-        if (!reg)
-            fatal(cat("line ", regTok.line, ": '", regTok.text,
-                      "' is not a register"));
-        cur.expect(TokKind::RParen, "')'");
-        op.kind = OperandKind::Mem;
-        op.reg = *reg;
-        op.expr = Expr::constant(0);
-        return op;
-    }
-
-    // Expression, possibly followed by "(rN)" making it a Mem operand.
-    op.expr = cur.parseExpr();
-    if (cur.peek().kind == TokKind::LParen) {
-        cur.get();
-        const Token regTok = cur.expect(TokKind::Ident, "register");
-        const auto reg = parseRegName(regTok.text);
-        if (!reg)
-            fatal(cat("line ", regTok.line, ": '", regTok.text,
-                      "' is not a register"));
-        cur.expect(TokKind::RParen, "')'");
-        op.kind = OperandKind::Mem;
-        op.reg = *reg;
-    } else {
-        op.kind = OperandKind::Expr;
-    }
-    return op;
-}
-
-} // namespace
-
-std::vector<Stmt>
-parseRiscSource(const std::string &source)
-{
-    TokenCursor cur(source);
-    std::vector<Stmt> stmts;
-    std::vector<std::string> pendingLabels;
-
-    while (cur.skipNewlines()) {
-        // Labels: ident ':' (several may stack on one address).
-        while (cur.peek().kind == TokKind::Ident) {
-            // Lookahead for ':' without consuming the mnemonic.
-            const Token identTok = cur.peek();
-            // Probe: consume ident, check for colon.
-            cur.get();
-            if (cur.accept(TokKind::Colon)) {
-                if (parseRegName(identTok.text))
-                    fatal(cat("line ", identTok.line,
-                              ": register name '", identTok.text,
-                              "' used as a label"));
-                pendingLabels.push_back(identTok.text);
-                cur.skipNewlines();
-                continue;
-            }
-            // Not a label: it is the mnemonic of a statement.
-            Stmt stmt;
-            stmt.line = identTok.line;
-            stmt.mnemonic = toLower(identTok.text);
-            stmt.type = stmt.mnemonic[0] == '.' ? Stmt::Type::Directive
-                                                : Stmt::Type::Instruction;
-            stmt.labels = std::move(pendingLabels);
-            pendingLabels.clear();
-
-            if (cur.peek().kind != TokKind::Newline &&
-                cur.peek().kind != TokKind::End) {
-                stmt.operands.push_back(parseOperand(cur));
-                while (cur.accept(TokKind::Comma))
-                    stmt.operands.push_back(parseOperand(cur));
-            }
-            if (cur.peek().kind != TokKind::Newline &&
-                cur.peek().kind != TokKind::End)
-                fatal(cat("line ", stmt.line,
-                          ": trailing junk after statement: '",
-                          cur.peek().text, "'"));
-            stmts.push_back(std::move(stmt));
-            break;
-        }
-        if (cur.peek().kind != TokKind::Ident &&
-            cur.peek().kind != TokKind::Newline && !cur.atEnd()) {
-            fatal(cat("line ", cur.peek().line,
-                      ": expected label or mnemonic, got '",
-                      cur.peek().text, "'"));
-        }
-    }
-
-    if (!pendingLabels.empty()) {
-        // Labels at end of file attach to an empty marker statement.
-        Stmt stmt;
-        stmt.type = Stmt::Type::Directive;
-        stmt.mnemonic = ".end_marker";
-        stmt.labels = std::move(pendingLabels);
-        stmts.push_back(std::move(stmt));
-    }
-    return stmts;
 }
 
 } // namespace risc1

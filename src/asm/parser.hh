@@ -1,9 +1,9 @@
 /**
  * @file
- * Statement-level parser for the RISC I assembler: turns the token
- * stream into an AST of labels, directives, and instructions with
- * symbolic expression operands.  The CISC assembler reuses Expr and the
- * token cursor but has its own operand grammar.
+ * The expression and token-cursor layer under the assembler core
+ * (asm/core.hh): additive expressions over numbers, symbols and '.',
+ * one token of lookahead over the streaming lexer, and RISC I register
+ * names.  Both ISAs' operand grammars are written on top of it.
  */
 
 #ifndef RISC1_ASM_PARSER_HH
@@ -54,41 +54,6 @@ struct Expr
     std::optional<std::string> asBareSymbol() const;
 };
 
-/** Operand kinds in statement ASTs. */
-enum class OperandKind : std::uint8_t
-{
-    Reg,    ///< register rN
-    Expr,   ///< symbolic expression
-    Mem,    ///< expr(rN) memory reference
-    Str,    ///< string literal
-};
-
-/** One parsed operand. */
-struct Operand
-{
-    OperandKind kind = OperandKind::Expr;
-    unsigned reg = 0;   ///< Reg / Mem base register
-    Expr expr;          ///< Expr / Mem displacement
-    std::string str;    ///< Str
-};
-
-/** One parsed statement (a line may hold a label plus a statement). */
-struct Stmt
-{
-    enum class Type : std::uint8_t { Instruction, Directive };
-
-    int line = 0;
-    Type type = Type::Instruction;
-    std::string mnemonic;           ///< lowercase, scc suffix stripped
-    bool scc = false;               ///< trailing 's' was present
-    std::vector<Operand> operands;
-    std::vector<std::string> labels;  ///< labels defined at this address
-
-    // Filled in by the assembler's first pass:
-    std::uint32_t address = 0;
-    unsigned size = 0;
-};
-
 /**
  * Token cursor with the shared helpers both assemblers use: one token
  * of lookahead over a streaming Lexer.
@@ -134,12 +99,6 @@ class TokenCursor
 
 /** Parse a register name ("r0".."r31"); nullopt when not a register. */
 std::optional<unsigned> parseRegName(const std::string &name);
-
-/**
- * Parse RISC I assembly source into statements.
- * @throws FatalError with line info on syntax errors.
- */
-std::vector<Stmt> parseRiscSource(const std::string &source);
 
 } // namespace risc1
 

@@ -15,8 +15,8 @@
  * Cost model: tracing is always compiled in, but a machine with no
  * Trace installed pays exactly one pointer test per step on the
  * reference interpreter and a single test per run on the fast path —
- * `bench/bench_dispatch` guards the fast path's steps/sec.  With a
- * Trace installed the fast path falls back to the reference
+ * perfbench's `dispatch.fast_ns_per_instr.*` rows track its cost.
+ * With a Trace installed the fast path falls back to the reference
  * interpreter so the trace observes every instruction in decode order
  * (see docs/OBSERVABILITY.md).
  *

@@ -1,6 +1,9 @@
 /**
  * @file
- * Two-pass assembler for the CISC baseline machine.
+ * Assembler for the CISC baseline machine: its register names,
+ * operand grammar, per-operand encoding choice, encoder and `.mask`,
+ * on the shared two-pass core (asm/core.hh) that owns statements,
+ * directives and symbols.
  *
  * Syntax (VAX-flavoured, operands src -> dst):
  *
@@ -21,9 +24,11 @@
  * (rN)+, -(rN), expr(rN), @expr (absolute), bare expr (absolute, or a
  * branch displacement for branch opcodes).
  *
- * Directives: the common set (.org .word .half .byte .space .ascii
+ * Directives: the core's set (.org .word .half .byte .space .ascii
  * .asciz .align .equ .entry) plus `.mask <expr>` emitting the 16-bit
- * procedure entry mask CALLS expects.
+ * procedure entry mask CALLS expects.  Code is byte-granular, so
+ * `.org` takes any non-negative address and `.word` data needs an
+ * explicit `.align 4`.
  */
 
 #ifndef RISC1_VAX_VASSEMBLER_HH
@@ -35,18 +40,11 @@
 
 namespace risc1 {
 
-/** Options for the baseline assembler. */
-struct VaxAsmOptions
-{
-    std::uint32_t defaultOrg = 0x1000;
-};
-
 /**
  * Assemble baseline (CISC) source into a program image.
  * @throws FatalError with line information on any error.
  */
-Program assembleVax(const std::string &source,
-                    const VaxAsmOptions &options = VaxAsmOptions{});
+Program assembleVax(const std::string &source);
 
 } // namespace risc1
 

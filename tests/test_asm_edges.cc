@@ -176,5 +176,247 @@ ok:     HALT
     EXPECT_EQ(m.reg(1), 5u);
 }
 
+TEST(AsmEdges, VaxOrgIsByteGranular)
+{
+    // Only RISC I needs word-aligned code; VAX code may start anywhere.
+    const Program prog = assembleVax(".org 0x1001\nstart: halt\n");
+    EXPECT_EQ(prog.entry, 0x1001u);
+    ASSERT_EQ(prog.segments.size(), 1u);
+    EXPECT_EQ(prog.segments[0].base, 0x1001u);
+}
+
+/** One rejected source and the exact text the assembler raises. */
+struct ErrorRow
+{
+    bool vax;
+    const char *source;
+    const char *what;
+};
+
+/**
+ * Every error an input can reach in the assembler core, the token
+ * cursor and both ISA grammars/encoders, with its full text.
+ */
+const ErrorRow kErrorRows[] = {
+    // Token cursor and parse loop, once per ISA grammar.
+    {false, "start: ldl r1, (5)\n", "line 1: expected register, got '5'"},
+    {false, "start: ldl r1, 4(r2\n", "line 1: expected ')', got ''"},
+    {false, "start: add r1, r2, ,\n", "line 1: expected expression, got ','"},
+    {false, "start: add r1, r2, 5 +\n",
+     "line 1: expected expression term after sign"},
+    {false, "start: ldl r1, (r40)\n", "line 1: 'r40' is not a register"},
+    {false, "start: ldl r1, 4(x)\n", "line 1: 'x' is not a register"},
+    {false, "r5: nop\n", "line 1: register name 'r5' used as a label"},
+    {false, "start: add r1, r2, r3 )\n",
+     "line 1: trailing junk after statement: ')'"},
+    {false, "start: halt\n, nop\n",
+     "line 2: expected label or mnemonic, got ','"},
+    {false, "start: halt\n.word 1,\n", "line 2: expected expression, got ''"},
+    {true, "start: movl -(5), r0\n", "line 1: expected register, got '5'"},
+    {true, "start: movl r0, 4(r1\n", "line 1: expected ')', got ''"},
+    {true, "start: movl #, r0\n", "line 1: expected expression, got ','"},
+    {true, "start: movl #1 +, r0\n",
+     "line 1: expected expression term after sign"},
+    {true, "start: movl -(r20), r0\n", "line 1: 'r20' is not a register"},
+    {true, "start: movl -8(x), r0\n", "line 1: 'x' is not a register"},
+    {true, "start: movl (r16), r0\n", "line 1: 'r16' is not a register"},
+    {true, "start: movl 8(q), r0\n", "line 1: 'q' is not a register"},
+    {true, "sp: halt\n", "line 1: register name 'sp' used as a label"},
+    {true, "start: movl r0, r1 r2\n",
+     "line 1: trailing junk after statement: 'r2'"},
+    {true, "start: halt\n# halt\n",
+     "line 2: expected label or mnemonic, got '#'"},
+    {true, "start: halt\n.word 1,\n", "line 2: expected expression, got ''"},
+
+    // Symbols and layout directives.
+    {false, "a: nop\na: nop\n", "line 2: duplicate label 'a'"},
+    {true, "a: halt\na: halt\n", "line 2: duplicate label 'a'"},
+    {false, "start: ldi r1, nowhere\n", "line 1: undefined symbol 'nowhere'"},
+    {false, "start: halt\n.word later\n",
+     "line 2: undefined symbol 'later'"},
+    {true, "start: movl @nowhere, r0\n",
+     "line 1: undefined symbol 'nowhere'"},
+    {true, "start: halt\n.align 4\n.word later\n",
+     "line 3: undefined symbol 'later'"},
+    {false, ".org\nstart: halt\n", "line 1: .org needs one resolvable expression"},
+    {false, ".org later\nstart: halt\nlater: halt\n",
+     "line 1: .org needs one resolvable expression"},
+    {false, ".org 2\nstart: halt\n",
+     "line 1: .org address must be non-negative and word-aligned"},
+    {false, ".org 0 - 4\nstart: halt\n",
+     "line 1: .org address must be non-negative and word-aligned"},
+    {true, ".org 1, 2\nstart: halt\n",
+     "line 1: .org needs one resolvable expression"},
+    {false, ".equ x\nstart: halt\n", "line 1: .equ takes: name, expression"},
+    {false, ".equ 5, 3\nstart: halt\n",
+     "line 1: .equ first operand must be a name"},
+    {false, ".equ r5, 3\nstart: halt\n",
+     "line 1: .equ first operand must be a name"},
+    {false, ".equ x, later\nstart: halt\nlater: halt\n",
+     "line 1: .equ expression must be resolvable"},
+    {false, ".equ x, 1\n.equ x, 2\nstart: halt\n",
+     "line 2: duplicate symbol 'x'"},
+    {false, "x: halt\n.equ x, 2\n", "line 2: duplicate symbol 'x'"},
+    {true, ".equ x\nstart: halt\n", "line 1: .equ takes: name, expression"},
+    {true, ".equ 5, 3\nstart: halt\n",
+     "line 1: .equ first operand must be a name"},
+    {true, ".equ x, later\nstart: halt\nlater: halt\n",
+     "line 1: .equ expression must be resolvable"},
+    {true, ".equ x, 1\n.equ x, 2\nstart: halt\n",
+     "line 2: duplicate symbol 'x'"},
+    {false, "start: halt\n.entry\n", "line 2: .entry takes one expression"},
+    {true, "start: halt\n.entry 1, 2\n",
+     "line 2: .entry takes one expression"},
+    {false, "", "program has no code and no entry point"},
+    {true, "x: .word 1\n", "program has no code and no entry point"},
+    {false, "start: halt\n.mask 3\n", "line 2: unknown directive '.mask'"},
+    {true, "start: halt\n.bogus 3\n", "line 2: unknown directive '.bogus'"},
+
+    // Data directives.
+    {false, "start: halt\n.space 1, 2\n",
+     "line 2: .space needs one resolvable expression"},
+    {false, "start: halt\n.space later\nlater: halt\n",
+     "line 2: .space needs one resolvable expression"},
+    {false, "start: halt\n.space 0 - 1\n", "line 2: .space with negative size"},
+    {true, "start: halt\n.space later\nlater: halt\n",
+     "line 2: .space needs one resolvable expression"},
+    {false, "start: halt\n.align\n",
+     "line 2: .align needs one resolvable expression"},
+    {false, "start: halt\n.align 3\n", "line 2: .align needs a power of two"},
+    {false, "start: halt\n.align 0\n", "line 2: .align needs a power of two"},
+    {true, "start: halt\n.align later\nlater: halt\n",
+     "line 2: .align needs one resolvable expression"},
+    {true, "start: halt\n.align 6\n", "line 2: .align needs a power of two"},
+    {true, "start: halt\n.align 0x100000000\n",
+     "line 2: .align needs a power of two"},
+    {false, "start: halt\n.ascii 5\n", "line 2: .ascii takes string operands"},
+    {false, "start: halt\n.asciz \"a\", x\n",
+     "line 2: .asciz takes string operands"},
+    {true, "start: halt\n.asciz 5\n", "line 2: .asciz takes string operands"},
+    {false, "start: halt\n.byte 1\n.word 1\n",
+     "line 3: .word at unaligned address (use .align)"},
+    {true, "start: halt\n.byte 1\n.word 1\n",
+     "line 3: .word at unaligned address (insert .align 4 — code here is "
+     "variable-length)"},
+    {false, "start: halt\n.byte 1\n.half 1\n",
+     "line 3: .half at unaligned address (use .align)"},
+    {true, "start: halt\n.half 1\n",
+     "line 2: .half at unaligned address (use .align)"},
+
+    // RISC I operands and encoder.
+    {false, "start: halt\n.byte 1\nnop\n",
+     "line 3: instruction at unaligned address"},
+    {false, "start: bogus r1, r2\n", "line 1: unknown mnemonic 'bogus'"},
+    {false, "start: add r1, r2\n", "line 1: 'add' takes 3 operand(s), got 2"},
+    {false, "start: add r1, 5, r2\n",
+     "line 1: operand 2 of 'add' must be a register"},
+    {false, "start: jmp zz, 0(r1)\n",
+     "line 1: operand 1 of 'jmp' must be a condition (alw, eq, ne, ...)"},
+    {false, "start: add r1, r2, 5000\n",
+     "line 1: immediate 5000 does not fit in 13 bits"},
+    {false, "start: bra 0x100000\n",
+     "line 1: offset 1044480 does not fit in 19 bits (too far?)"},
+    {false, "start: add r1, r2, 4(r3)\n",
+     "line 1: bad s2 operand (register or expression expected)"},
+    {false, "start: ldl r1\n", "line 1: missing address operand"},
+    {false, "start: ldl r1, 4(r2), r3\n",
+     "line 1: trailing operands after address"},
+    {false, "start: ldl r1, \"x\"\n",
+     "line 1: bad address operand: use off(rN), rN, s2, or an absolute "
+     "expression"},
+    {false, "start: inc r1, 2, 3\n", "line 1: 'inc' takes 1 or 2 operands"},
+    {false, "start: ldi r1, 4(r2)\n",
+     "line 1: second operand of ldi/mov must be a register or expression"},
+    {false, "start: beq r1\n", "line 1: branch target must be an expression"},
+    {false, "start: jmpr alw, r1\n",
+     "line 1: jmpr target must be an expression"},
+    {false, "start: callr r31, r1\n",
+     "line 1: callr target must be an expression"},
+    {false, "start: ret r1\n", "line 1: 'ret' takes 0 or 2 operands"},
+
+    // VAX operands, encoding choice and encoder.
+    {true, "start: bogus\n", "line 1: unknown mnemonic 'bogus'"},
+    // The operand count is a byte and prints as a character.
+    {true, "start: movl r0\n", "line 1: 'movl' takes \x02 operand(s), got 1"},
+    {true, "start: halt 1\n", "line 1: 'halt' takes "},
+    {true, "start: brb #1\n", "line 1: immediate used as branch target"},
+    {true, "start: brb r0\n", "line 1: register used as branch target"},
+    {true, "start: brb far\n.space 200\nfar: halt\n",
+     "line 1: branch displacement 200 exceeds byte range; restructure or "
+     "use brw/jmp"},
+    {true, "start: brw far\n.space 40000\nfar: halt\n",
+     "line 1: branch displacement 40000 exceeds word range"},
+
+    // Numeric directives take expressions only: a string, a register
+    // or a memory operand is an error, never a silent 0.
+    {false, "start: halt\n.word \"ab\"\n",
+     "line 2: .word takes expression operands"},
+    {true, "start: halt\n.align 4\n.word \"ab\"\n",
+     "line 3: .word takes expression operands"},
+    {false, "start: halt\n.half \"ab\"\n",
+     "line 2: .half takes expression operands"},
+    {false, "start: halt\n.byte \"abc\"\n",
+     "line 2: .byte takes expression operands"},
+    {true, "start: halt\n.byte \"abc\"\n",
+     "line 2: .byte takes expression operands"},
+    {false, "start: halt\n.space \"abc\"\n",
+     "line 2: .space takes expression operands"},
+    {true, "start: halt\n.space \"abc\"\n",
+     "line 2: .space takes expression operands"},
+    {false, "start: halt\n.align \"x\"\n",
+     "line 2: .align takes expression operands"},
+    {true, ".org \"x\"\nstart: halt\n",
+     "line 1: .org takes expression operands"},
+    {false, ".entry \"x\"\nstart: halt\n",
+     "line 1: .entry takes expression operands"},
+    {true, ".entry \"x\"\nstart: halt\n",
+     "line 1: .entry takes expression operands"},
+    {true, "start: halt\n.mask \"x\"\n",
+     "line 2: .mask takes expression operands"},
+    {false, ".equ x, \"s\"\nstart: halt\n",
+     "line 1: .equ takes expression operands"},
+    {false, "start: halt\n.word r5\n", "line 2: undefined symbol 'r5'"},
+    {false, "start: halt\n.word 4(r1)\n",
+     "line 2: trailing junk after statement: '('"},
+    {false, ".equ x, r5\nstart: halt\n",
+     "line 1: .equ expression must be resolvable"},
+    {false, ".org r5\nstart: halt\n",
+     "line 1: .org needs one resolvable expression"},
+    {true, ".equ sp, 3\nstart: halt\n",
+     "line 1: .equ first operand must be a name"},
+    {true, ".equ R3, 3\nstart: halt\n",
+     "line 1: .equ first operand must be a name"},
+
+    // Sizes, alignments and addresses are checked alike on both ISAs.
+    {true, "start: halt\n.space -1\n", "line 2: .space with negative size"},
+    {true, "start: halt\n.space 0 - 2\n",
+     "line 2: .space with negative size"},
+    {true, "start: halt\n.align 0 - 2147483648\n",
+     "line 2: .align needs a power of two"},
+    {true, "start: halt\n.align 0x100000002\n",
+     "line 2: .align needs a power of two"},
+    {false, "start: halt\n.align 0x100000000\n",
+     "line 2: .align needs a power of two"},
+    {true, ".org 0 - 4\nstart: halt\n",
+     "line 1: .org address must be non-negative"},
+};
+
+TEST(AsmErrors, EveryTextIsPinned)
+{
+    for (const ErrorRow &row : kErrorRows) {
+        try {
+            if (row.vax)
+                assembleVax(row.source);
+            else
+                assembleRisc(row.source);
+            ADD_FAILURE() << (row.vax ? "vax" : "risc")
+                          << " assembled without error: " << row.source;
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()), row.what)
+                << (row.vax ? "vax" : "risc") << " source: " << row.source;
+        }
+    }
+}
+
 } // namespace
 } // namespace risc1
