@@ -53,13 +53,24 @@ run_stages "$BUILD"
 # backends x both tiers against the reference interpreter, fanned out
 # on the engine.  The wall-clock budget keeps a pathological seed from
 # hanging CI; riscdiff exits non-zero on any divergence and drops a
-# minimized repro into bench/out/ (uploaded as a CI artifact).
+# minimized repro into bench/out/ (uploaded as a CI artifact).  Its
+# digest folds every seed's oracle observation and depends only on the
+# seed range, so the stage also fails unless it reads 0x30ea9d1: a
+# change to the sampler, the RL interpreter or a seed's result moves it.
 run_riscdiff() {
     dir="$1"
     echo
     echo "== lang differential: riscdiff --seeds 200 ($dir) =="
-    (cd "$dir" && ./examples/riscdiff --seeds 200 \
-        --time-budget-ms 300000 --repro-dir bench/out)
+    status=0
+    DIFF_OUT=$(cd "$dir" && ./examples/riscdiff --seeds 200 \
+        --time-budget-ms 300000 --repro-dir bench/out) || status=$?
+    echo "$DIFF_OUT"
+    [ "$status" -eq 0 ] || exit "$status"
+    echo "$DIFF_OUT" | grep -q "digest 0x30ea9d1$" || {
+        echo "riscdiff digest moved from 0x30ea9d1:" \
+             "a seed's oracle observation changed" >&2
+        exit 1
+    }
 }
 
 run_riscdiff "$BUILD"

@@ -138,6 +138,16 @@ class RiscAssembler final : public AsmCore
         return stmt.operands[idx].reg;
     }
 
+    std::int64_t
+    wantExpr(const Stmt &stmt, std::size_t idx)
+    {
+        if (idx >= stmt.operands.size() ||
+            stmt.operands[idx].kind != OperandKind::Expr)
+            err(stmt, cat("operand ", idx + 1, " of '", stmt.mnemonic,
+                          "' must be an expression"));
+        return evalExpr(stmt, stmt.operands[idx].expr);
+    }
+
     Cond
     wantCond(const Stmt &stmt, std::size_t idx)
     {
@@ -285,7 +295,7 @@ class RiscAssembler final : public AsmCore
             const unsigned rd = wantReg(stmt, 0);
             std::int64_t amount = 1;
             if (stmt.operands.size() == 2)
-                amount = evalExpr(stmt, stmt.operands[1].expr);
+                amount = wantExpr(stmt, 1);
             else if (stmt.operands.size() != 1)
                 err(stmt, cat("'", m, "' takes 1 or 2 operands"));
             out.push_back(Instruction::aluImm(
@@ -354,9 +364,9 @@ class RiscAssembler final : public AsmCore
         // ---- Real opcodes ----
         if (m == "ldhis") {
             countIs(2);
-            Instruction inst = Instruction::ldhi(
-                wantReg(stmt, 0),
-                checkImm19(stmt, evalExpr(stmt, stmt.operands[1].expr)));
+            const unsigned rd = wantReg(stmt, 0);
+            Instruction inst =
+                Instruction::ldhi(rd, checkImm19(stmt, wantExpr(stmt, 1)));
             inst.scc = true;
             out.push_back(inst);
             return out;
@@ -374,8 +384,7 @@ class RiscAssembler final : public AsmCore
           case Opcode::Ldhi:
             countIs(2);
             inst.rd = static_cast<std::uint8_t>(wantReg(stmt, 0));
-            inst.imm19 = checkImm19(
-                stmt, evalExpr(stmt, stmt.operands[1].expr));
+            inst.imm19 = checkImm19(stmt, wantExpr(stmt, 1));
             break;
           case Opcode::Ldl:
           case Opcode::Ldsu:

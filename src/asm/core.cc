@@ -12,6 +12,9 @@ namespace {
 /** Load address before the first .org. */
 constexpr std::uint32_t kDefaultOrg = 0x1000;
 
+/** The last address; the location counter never passes it. */
+constexpr std::uint32_t kAddrMax = 0xffffffff;
+
 /** Data directives every ISA has. */
 constexpr DataDirective kSharedData[] = {
     {".word", 4, 4, SegmentKind::Data},
@@ -204,6 +207,8 @@ AsmCore::orgAddress(const Stmt &stmt) const
     if (a < 0 || a % instAlign_ != 0)
         err(stmt, cat(".org address must be non-negative",
                       instAlign_ > 1 ? " and word-aligned" : ""));
+    if (a > kAddrMax)
+        err(stmt, ".org address does not fit in 32 bits");
     return static_cast<std::uint32_t>(a);
 }
 
@@ -232,11 +237,13 @@ AsmCore::directiveSize(const Stmt &stmt)
         const std::int64_t n = knownOperand(stmt);
         if (n < 0)
             err(stmt, ".space with negative size");
+        if (n > kAddrMax)
+            err(stmt, ".space size does not fit in 32 bits");
         return static_cast<unsigned>(n);
     }
     if (m == ".align") {
         const std::int64_t a = knownOperand(stmt);
-        if (a <= 0 || a > 0xffffffffll || (a & (a - 1)) != 0)
+        if (a <= 0 || a > kAddrMax || (a & (a - 1)) != 0)
             err(stmt, ".align needs a power of two");
         const auto align = static_cast<std::uint32_t>(a);
         return (align - (stmt.address % align)) % align;
@@ -283,6 +290,8 @@ AsmCore::passOne()
                 err(stmt, "instruction at unaligned address");
             stmt.size = instructionSize(stmt);
         }
+        if (stmt.size > kAddrMax - addr)
+            err(stmt, "location counter passes 0xffffffff");
         addr += stmt.size;
     }
 }

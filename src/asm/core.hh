@@ -13,6 +13,7 @@
  *     .org   expr              move the location counter (code starts
  *                              at 0x1000); never negative, and a
  *                              multiple of the instruction alignment
+ *                              that fits in 32 bits
  *     .equ   name, expr        define a constant (not a register name)
  *     .entry expr              entry point; else the first of start,
  *                              main, _start; else the first code byte
@@ -20,6 +21,8 @@
  *     .space expr              that many zero bytes
  *     .ascii/.asciz "s", ...   string bytes (.asciz adds a 0 each)
  *     .align expr              zero-pad to a power of two
+ *
+ * No statement may take the location counter past 0xffffffff.
  */
 
 #ifndef RISC1_ASM_CORE_HH

@@ -191,7 +191,7 @@ class VaxAssembler final : public AsmCore
         const VaxOpInfo *info = vaxOpcodeInfo(*opOpt);
         if (stmt.operands.size() != info->numOperands)
             err(stmt, cat("'", stmt.mnemonic, "' takes ",
-                          info->numOperands, " operand(s), got ",
+                          unsigned{info->numOperands}, " operand(s), got ",
                           stmt.operands.size()));
         unsigned size = 1;
         for (unsigned i = 0; i < info->numOperands; ++i) {

@@ -333,12 +333,19 @@ const ErrorRow kErrorRows[] = {
     {false, "start: callr r31, r1\n",
      "line 1: callr target must be an expression"},
     {false, "start: ret r1\n", "line 1: 'ret' takes 0 or 2 operands"},
+    {false, "start: inc r1, r2\n",
+     "line 1: operand 2 of 'inc' must be an expression"},
+    {false, "start: dec r3, \"x\"\n",
+     "line 1: operand 2 of 'dec' must be an expression"},
+    {false, "start: ldhi r1, r2\n",
+     "line 1: operand 2 of 'ldhi' must be an expression"},
+    {false, "start: ldhis r1, 4(r2)\n",
+     "line 1: operand 2 of 'ldhis' must be an expression"},
 
     // VAX operands, encoding choice and encoder.
     {true, "start: bogus\n", "line 1: unknown mnemonic 'bogus'"},
-    // The operand count is a byte and prints as a character.
-    {true, "start: movl r0\n", "line 1: 'movl' takes \x02 operand(s), got 1"},
-    {true, "start: halt 1\n", "line 1: 'halt' takes "},
+    {true, "start: movl r0\n", "line 1: 'movl' takes 2 operand(s), got 1"},
+    {true, "start: halt 1\n", "line 1: 'halt' takes 0 operand(s), got 1"},
     {true, "start: brb #1\n", "line 1: immediate used as branch target"},
     {true, "start: brb r0\n", "line 1: register used as branch target"},
     {true, "start: brb far\n.space 200\nfar: halt\n",
@@ -399,7 +406,33 @@ const ErrorRow kErrorRows[] = {
      "line 2: .align needs a power of two"},
     {true, ".org 0 - 4\nstart: halt\n",
      "line 1: .org address must be non-negative"},
+
+    // Sizes, addresses and the location counter stay within 32 bits.
+    {false, "start: halt\n.space 0x100000001\n",
+     "line 2: .space size does not fit in 32 bits"},
+    {true, "start: halt\n.space 0x100000001\n",
+     "line 2: .space size does not fit in 32 bits"},
+    {false, ".org 0x100001000\nstart: halt\n",
+     "line 1: .org address does not fit in 32 bits"},
+    {true, ".org 0x100001000\nstart: halt\n",
+     "line 1: .org address does not fit in 32 bits"},
+    {false, "start: halt\n.space 0xffffffff\n",
+     "line 2: location counter passes 0xffffffff"},
+    {true, "start: halt\n.space 0xffffffff\n",
+     "line 2: location counter passes 0xffffffff"},
+    {false, ".org 0xfffffffc\nstart: halt\n",
+     "line 2: location counter passes 0xffffffff"},
+    {true, ".org 0xffffffff\nstart: halt\n",
+     "line 2: location counter passes 0xffffffff"},
 };
+
+TEST(AsmEdges, CodeAtTheTopOfTheAddressSpace)
+{
+    const Program risc = assembleRisc(".org 0xfffffff8\nstart: halt\n");
+    EXPECT_EQ(risc.entry, 0xfffffff8u);
+    const Program vax = assembleVax(".org 0xfffffffe\nstart: halt\n");
+    EXPECT_EQ(vax.entry, 0xfffffffeu);
+}
 
 TEST(AsmErrors, EveryTextIsPinned)
 {

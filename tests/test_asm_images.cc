@@ -10,7 +10,10 @@
  * each symbol's name bytes, a 0 byte and its value, in map order.
  * Words fold as their 4 little-endian bytes (Observation::digest's
  * flavour).  Any change to what either assembler emits moves a
- * digest; a change that is meant to must say why and re-pin it.
+ * digest; a change that is meant to must say why and re-pin it.  A
+ * fifth digest folds the sampled programs' lowered text itself, so a
+ * change to how the lowerings print moves it even where the images
+ * stay the same.
  */
 
 #include <gtest/gtest.h>
@@ -143,6 +146,23 @@ TEST(AsmImages, SampledProgramLowerings)
     for (std::uint64_t seed = 1; seed <= 1000; ++seed)
         foldLowerings(d, lang::generateProgram(seed));
     EXPECT_EQ(d.value(), 0x1e6f96cfu);
+}
+
+/** The lowerings' text itself: each source's bytes, then a 0 byte. */
+TEST(AsmImages, SampledProgramLoweredText)
+{
+    ImageDigest d;
+    const auto fold = [&d](const std::string &source) {
+        for (const char c : source)
+            d.byte(static_cast<std::uint8_t>(c));
+        d.byte(0);
+    };
+    for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+        const lang::Program program = lang::generateProgram(seed);
+        fold(lang::compileRisc(program).source);
+        fold(lang::compileVax(program).source);
+    }
+    EXPECT_EQ(d.value(), 0x43598449u);
 }
 
 } // namespace
