@@ -12,8 +12,9 @@
 # ctest runs in labeled stages (see docs/TESTING.md) so a failure names
 # the ring that broke: unit -> property -> differential -> target ->
 # vax -> obs -> mem -> server -> lang -> golden -> bench.  Non-sanitizer
-# runs also build and smoke-run the perfbench benchmark (diff, and a
-# sweep whose statistics digest is pinned).
+# runs also gate `riscdiff --seeds 2000` on its digest and build and
+# smoke-run the perfbench benchmark (diff, and a sweep whose statistics
+# digest is pinned).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -49,31 +50,37 @@ run_stages() {
 
 run_stages "$BUILD"
 
-# Mass differential (docs/LANG.md): 200 seeded RL programs, both
-# backends x both tiers against the reference interpreter, fanned out
-# on the engine.  The wall-clock budget keeps a pathological seed from
+# Mass differential (docs/LANG.md): seeded RL programs, both backends
+# x both tiers against the reference interpreter, fanned out on the
+# engine.  The wall-clock budget keeps a pathological seed from
 # hanging CI; riscdiff exits non-zero on any divergence and drops a
 # minimized repro into bench/out/ (uploaded as a CI artifact).  Its
 # digest folds every seed's oracle observation and depends only on the
-# seed range, so the stage also fails unless it reads 0x30ea9d1: a
-# change to the sampler, the RL interpreter or a seed's result moves it.
+# seed range, so the stage also fails unless it reads the pinned
+# digest: a change to the sampler, the RL interpreter or a seed's
+# result moves it.  Every build runs 200 seeds (0x30ea9d1); the normal
+# build also runs 2000 (0xa17002a4, about 1.5 s), the range every
+# assembler change is checked on.
 run_riscdiff() {
     dir="$1"
+    seeds="$2"
+    want="$3"
     echo
-    echo "== lang differential: riscdiff --seeds 200 ($dir) =="
+    echo "== lang differential: riscdiff --seeds $seeds ($dir) =="
     status=0
-    DIFF_OUT=$(cd "$dir" && ./examples/riscdiff --seeds 200 \
+    DIFF_OUT=$(cd "$dir" && ./examples/riscdiff --seeds "$seeds" \
         --time-budget-ms 300000 --repro-dir bench/out) || status=$?
     echo "$DIFF_OUT"
     [ "$status" -eq 0 ] || exit "$status"
-    echo "$DIFF_OUT" | grep -q "digest 0x30ea9d1$" || {
-        echo "riscdiff digest moved from 0x30ea9d1:" \
+    echo "$DIFF_OUT" | grep -q "digest $want$" || {
+        echo "riscdiff --seeds $seeds digest moved from $want:" \
              "a seed's oracle observation changed" >&2
         exit 1
     }
 }
 
-run_riscdiff "$BUILD"
+run_riscdiff "$BUILD" 200 0x30ea9d1
+[ "$MODE" = sanitize ] || run_riscdiff "$BUILD" 2000 0xa17002a4
 
 echo
 echo "== bench smoke: riscbench experiment registry =="
@@ -272,7 +279,7 @@ if [ "$MODE" = default ]; then
     cmake -B "$ASAN_BUILD" -S . -DSANITIZE=ON
     cmake --build "$ASAN_BUILD" -j
     run_stages "$ASAN_BUILD"
-    run_riscdiff "$ASAN_BUILD"
+    run_riscdiff "$ASAN_BUILD" 200 0x30ea9d1
 fi
 
 echo "check.sh: all green"

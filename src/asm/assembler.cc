@@ -1,53 +1,83 @@
 #include "asm/assembler.hh"
 
+#include <bit>
 #include <optional>
 #include <vector>
 
 #include "asm/core.hh"
 #include "common/bitfield.hh"
 #include "common/logging.hh"
+#include "common/name_table.hh"
 #include "isa/instruction.hh"
 
 namespace risc1 {
 
 namespace {
 
-/** Pseudo-branch table: b<cond> label -> jmpr cond, label. */
-std::optional<Cond>
-branchPseudo(const std::string &mnemonic)
+/** What a mnemonic names. */
+enum class Form : std::uint8_t
 {
-    if (mnemonic == "bra")
-        return Cond::Alw;
-    if (mnemonic.size() < 2 || mnemonic[0] != 'b')
-        return std::nullopt;
-    return condFromName(mnemonic.substr(1));
-}
-
-/** ALU mnemonic lookup with optional trailing-'s' scc suffix. */
-struct AluMatch
-{
-    Opcode op;
-    bool scc;
+    Unknown,
+    Alu,     ///< an ALU opcode but ldhi; a trailing 's' sets scc
+    Op,      ///< any other opcode; ldhis is ldhi with scc
+    Nop,
+    Halt,
+    Clr,
+    Inc,
+    Dec,
+    Cmp,
+    Not,
+    Neg,
+    Ldi,     ///< ldi and mov
+    Branch,  ///< bra and b<cond>: jmpr cond, label
 };
 
-std::optional<AluMatch>
-aluMnemonic(const std::string &mnemonic)
+/** A resolved mnemonic; it travels in Stmt::code. */
+struct Mnemonic
 {
-    if (auto op = opcodeFromMnemonic(mnemonic)) {
-        if (opcodeInfo(*op)->cls == InstClass::Alu &&
-            *op != Opcode::Ldhi)
-            return AluMatch{*op, false};
-        return std::nullopt;
-    }
-    if (mnemonic.size() > 1 && mnemonic.back() == 's') {
-        const std::string base = mnemonic.substr(0, mnemonic.size() - 1);
-        if (auto op = opcodeFromMnemonic(base)) {
-            if (opcodeInfo(*op)->cls == InstClass::Alu &&
-                *op != Opcode::Ldhi)
-                return AluMatch{*op, true};
+    Form form = Form::Unknown;
+    Opcode op = Opcode::Add;
+    bool scc = false;
+    Cond cond = Cond::Alw;
+};
+static_assert(sizeof(Mnemonic) == sizeof(Stmt::code));
+
+/**
+ * Every mnemonic, built once from the opcode and condition tables the
+ * decoder and disassembler use, plus the pseudo-instructions.
+ */
+const NameTable<Mnemonic> &
+mnemonicTable()
+{
+    static const auto table = [] {
+        NameTable<Mnemonic> t;
+        for (std::size_t i = 0; i < numOpcodes; ++i) {
+            const OpcodeInfo &info = allOpcodes()[i];
+            if (info.cls == InstClass::Alu && info.op != Opcode::Ldhi) {
+                t.add(info.mnemonic, {Form::Alu, info.op});
+                t.add(cat(info.mnemonic, "s"), {Form::Alu, info.op, true});
+            } else {
+                t.add(info.mnemonic, {Form::Op, info.op});
+            }
         }
-    }
-    return std::nullopt;
+        t.add("ldhis", {Form::Op, Opcode::Ldhi, true});
+        constexpr std::pair<std::string_view, Form> kPseudos[] = {
+            {"nop", Form::Nop}, {"halt", Form::Halt}, {"clr", Form::Clr},
+            {"inc", Form::Inc}, {"dec", Form::Dec},   {"cmp", Form::Cmp},
+            {"not", Form::Not}, {"neg", Form::Neg},   {"ldi", Form::Ldi},
+            {"mov", Form::Ldi},
+        };
+        for (const auto &[name, form] : kPseudos)
+            t.add(name, {form});
+        t.add("bra", {Form::Branch});
+        for (unsigned c = 0; c < 16; ++c) {
+            const auto cond = static_cast<Cond>(c);
+            t.add(cat("b", condName(cond)),
+                  {Form::Branch, Opcode::Add, false, cond});
+        }
+        return t;
+    }();
+    return table;
 }
 
 /** Split a 32-bit constant into ldhi/add parts that recombine exactly. */
@@ -80,9 +110,22 @@ class RiscAssembler final : public AsmCore
 
   private:
     std::optional<unsigned>
-    regName(const std::string &name) const override
+    regName(std::string_view name) const override
     {
         return parseRegName(name);
+    }
+
+    std::uint32_t
+    resolve(std::string_view mnemonic) const override
+    {
+        const Mnemonic *m = mnemonicTable().find(mnemonic);
+        return std::bit_cast<std::uint32_t>(m ? *m : Mnemonic{});
+    }
+
+    static Mnemonic
+    mnemonic(const Stmt &stmt)
+    {
+        return std::bit_cast<Mnemonic>(stmt.code);
     }
 
     /** Parse one operand: register, expr(reg), (reg), string, or expr. */
@@ -131,29 +174,29 @@ class RiscAssembler final : public AsmCore
     unsigned
     wantReg(const Stmt &stmt, std::size_t idx)
     {
-        if (idx >= stmt.operands.size() ||
-            stmt.operands[idx].kind != OperandKind::Reg)
+        const auto ops = operands(stmt);
+        if (idx >= ops.size() || ops[idx].kind != OperandKind::Reg)
             err(stmt, cat("operand ", idx + 1, " of '", stmt.mnemonic,
                           "' must be a register"));
-        return stmt.operands[idx].reg;
+        return ops[idx].reg;
     }
 
     std::int64_t
     wantExpr(const Stmt &stmt, std::size_t idx)
     {
-        if (idx >= stmt.operands.size() ||
-            stmt.operands[idx].kind != OperandKind::Expr)
+        const auto ops = operands(stmt);
+        if (idx >= ops.size() || ops[idx].kind != OperandKind::Expr)
             err(stmt, cat("operand ", idx + 1, " of '", stmt.mnemonic,
                           "' must be an expression"));
-        return evalExpr(stmt, stmt.operands[idx].expr);
+        return evalExpr(stmt, ops[idx].expr);
     }
 
     Cond
     wantCond(const Stmt &stmt, std::size_t idx)
     {
-        if (idx < stmt.operands.size() &&
-            stmt.operands[idx].kind == OperandKind::Expr) {
-            if (auto sym = stmt.operands[idx].expr.asBareSymbol())
+        const auto ops = operands(stmt);
+        if (idx < ops.size() && ops[idx].kind == OperandKind::Expr) {
+            if (auto sym = ops[idx].expr.asBareSymbol())
                 if (auto cond = condFromName(*sym))
                     return *cond;
         }
@@ -202,24 +245,23 @@ class RiscAssembler final : public AsmCore
     void
     applyAddress(const Stmt &stmt, Instruction &inst, std::size_t idx)
     {
-        if (idx >= stmt.operands.size())
+        const auto ops = operands(stmt);
+        if (idx >= ops.size())
             err(stmt, "missing address operand");
-        const Operand &op = stmt.operands[idx];
+        const Operand &op = ops[idx];
         if (op.kind == OperandKind::Mem) {
-            if (idx + 1 != stmt.operands.size())
+            if (idx + 1 != ops.size())
                 err(stmt, "trailing operands after address");
             inst.rs1 = static_cast<std::uint8_t>(op.reg);
             inst.imm = true;
             inst.simm13 = checkImm13(stmt, evalExpr(stmt, op.expr));
-        } else if (op.kind == OperandKind::Expr &&
-                   idx + 1 == stmt.operands.size()) {
+        } else if (op.kind == OperandKind::Expr && idx + 1 == ops.size()) {
             inst.rs1 = 0;
             inst.imm = true;
             inst.simm13 = checkImm13(stmt, evalExpr(stmt, op.expr));
-        } else if (op.kind == OperandKind::Reg &&
-                   idx + 2 == stmt.operands.size()) {
+        } else if (op.kind == OperandKind::Reg && idx + 2 == ops.size()) {
             inst.rs1 = static_cast<std::uint8_t>(op.reg);
-            applyS2(stmt, inst, stmt.operands[idx + 1]);
+            applyS2(stmt, inst, ops[idx + 1]);
         } else {
             err(stmt, "bad address operand: use off(rN), rN, s2, or "
                       "an absolute expression");
@@ -232,113 +274,105 @@ class RiscAssembler final : public AsmCore
     unsigned
     instructionSize(Stmt &stmt) override
     {
-        const std::string &m = stmt.mnemonic;
-        if (m == "ldi" || m == "mov") {
-            // mov rd, rN is a single add; constants may need ldhi+add.
-            if (stmt.operands.size() == 2 &&
-                stmt.operands[1].kind == OperandKind::Reg)
+        if (mnemonic(stmt).form != Form::Ldi)
+            return 4;
+        // mov rd, rN is a single add; constants may need ldhi+add.
+        const auto ops = operands(stmt);
+        if (ops.size() == 2 && ops[1].kind == OperandKind::Reg)
+            return 4;
+        if (ops.size() == 2 && ops[1].kind == OperandKind::Expr) {
+            const auto v = known(stmt, ops[1].expr);
+            if (v && fitsSigned(*v, 13))
                 return 4;
-            if (stmt.operands.size() == 2 &&
-                stmt.operands[1].kind == OperandKind::Expr) {
-                const auto v = known(stmt, stmt.operands[1].expr);
-                if (v && fitsSigned(*v, 13))
-                    return 4;
-            }
-            return 8;
         }
-        return 4;
+        return 8;
     }
 
     /** Expand one instruction statement to machine instructions. */
     std::vector<Instruction>
     expand(const Stmt &stmt)
     {
-        const std::string &m = stmt.mnemonic;
+        const std::string_view m = stmt.mnemonic;
+        const Mnemonic mn = mnemonic(stmt);
+        const auto ops = operands(stmt);
         std::vector<Instruction> out;
         auto countIs = [&](std::size_t n) {
-            if (stmt.operands.size() != n)
+            if (ops.size() != n)
                 err(stmt, cat("'", m, "' takes ", n, " operand(s), got ",
-                              stmt.operands.size()));
+                              ops.size()));
         };
 
-        // ---- ALU (with scc suffix handling) ----
-        if (auto alu = aluMnemonic(m)) {
+        switch (mn.form) {
+          case Form::Alu: {
             countIs(3);
             Instruction inst;
-            inst.op = alu->op;
-            inst.scc = alu->scc;
+            inst.op = mn.op;
+            inst.scc = mn.scc;
             inst.rd = static_cast<std::uint8_t>(wantReg(stmt, 0));
             inst.rs1 = static_cast<std::uint8_t>(wantReg(stmt, 1));
-            applyS2(stmt, inst, stmt.operands[2]);
+            applyS2(stmt, inst, ops[2]);
             out.push_back(inst);
             return out;
-        }
-
-        // ---- Pseudo-instructions ----
-        if (m == "nop") {
+          }
+          case Form::Nop:
             countIs(0);
             out.push_back(Instruction::nop());
             return out;
-        }
-        if (m == "halt") {
+          case Form::Halt:
             countIs(0);
             out.push_back(Instruction::jmpr(Cond::Alw, 0));
             return out;
-        }
-        if (m == "clr") {
+          case Form::Clr:
             countIs(1);
             out.push_back(Instruction::aluImm(Opcode::Add,
                                               wantReg(stmt, 0), 0, 0));
             return out;
-        }
-        if (m == "inc" || m == "dec") {
+          case Form::Inc:
+          case Form::Dec: {
             const unsigned rd = wantReg(stmt, 0);
             std::int64_t amount = 1;
-            if (stmt.operands.size() == 2)
+            if (ops.size() == 2)
                 amount = wantExpr(stmt, 1);
-            else if (stmt.operands.size() != 1)
+            else if (ops.size() != 1)
                 err(stmt, cat("'", m, "' takes 1 or 2 operands"));
             out.push_back(Instruction::aluImm(
-                m == "inc" ? Opcode::Add : Opcode::Sub, rd, rd,
+                mn.form == Form::Inc ? Opcode::Add : Opcode::Sub, rd, rd,
                 checkImm13(stmt, amount)));
             return out;
-        }
-        if (m == "cmp") {
+          }
+          case Form::Cmp: {
             countIs(2);
             Instruction inst;
             inst.op = Opcode::Sub;
             inst.scc = true;
             inst.rd = 0;
             inst.rs1 = static_cast<std::uint8_t>(wantReg(stmt, 0));
-            applyS2(stmt, inst, stmt.operands[1]);
+            applyS2(stmt, inst, ops[1]);
             out.push_back(inst);
             return out;
-        }
-        if (m == "not") {
+          }
+          case Form::Not:
             countIs(2);
             out.push_back(Instruction::aluImm(
                 Opcode::Xor, wantReg(stmt, 0), wantReg(stmt, 1), -1));
             return out;
-        }
-        if (m == "neg") {
+          case Form::Neg:
             countIs(2);
             out.push_back(Instruction::aluImm(
                 Opcode::Subr, wantReg(stmt, 0), wantReg(stmt, 1), 0));
             return out;
-        }
-        if (m == "ldi" || m == "mov") {
+          case Form::Ldi: {
             countIs(2);
             const unsigned rd = wantReg(stmt, 0);
-            if (stmt.operands[1].kind == OperandKind::Reg) {
-                out.push_back(Instruction::aluImm(
-                    Opcode::Add, rd, stmt.operands[1].reg, 0));
+            if (ops[1].kind == OperandKind::Reg) {
+                out.push_back(
+                    Instruction::aluImm(Opcode::Add, rd, ops[1].reg, 0));
                 return out;
             }
-            if (stmt.operands[1].kind != OperandKind::Expr)
+            if (ops[1].kind != OperandKind::Expr)
                 err(stmt, "second operand of ldi/mov must be a register "
                           "or expression");
-            const std::int64_t value =
-                evalExpr(stmt, stmt.operands[1].expr);
+            const std::int64_t value = evalExpr(stmt, ops[1].expr);
             if (stmt.size == 4) {
                 out.push_back(Instruction::aluImm(
                     Opcode::Add, rd, 0, checkImm13(stmt, value)));
@@ -349,36 +383,29 @@ class RiscAssembler final : public AsmCore
                                                   split.lo13));
             }
             return out;
-        }
-        if (auto cond = branchPseudo(m)) {
+          }
+          case Form::Branch: {
             countIs(1);
-            if (stmt.operands[0].kind != OperandKind::Expr)
+            if (ops[0].kind != OperandKind::Expr)
                 err(stmt, "branch target must be an expression");
-            const std::int64_t target =
-                evalExpr(stmt, stmt.operands[0].expr);
+            const std::int64_t target = evalExpr(stmt, ops[0].expr);
             out.push_back(Instruction::jmpr(
-                *cond, checkImm19(stmt, target - stmt.address)));
+                mn.cond, checkImm19(stmt, target - stmt.address)));
             return out;
+          }
+          case Form::Unknown:
+            err(stmt, cat("unknown mnemonic '", m, "'"));
+          case Form::Op:
+            break;
         }
 
         // ---- Real opcodes ----
-        if (m == "ldhis") {
-            countIs(2);
-            const unsigned rd = wantReg(stmt, 0);
-            Instruction inst =
-                Instruction::ldhi(rd, checkImm19(stmt, wantExpr(stmt, 1)));
-            inst.scc = true;
-            out.push_back(inst);
-            return out;
-        }
-        const auto opOpt = opcodeFromMnemonic(m);
-        if (!opOpt)
-            err(stmt, cat("unknown mnemonic '", m, "'"));
-        const Opcode op = *opOpt;
+        const Opcode op = mn.op;
         const OpcodeInfo *info = opcodeInfo(op);
 
         Instruction inst;
         inst.op = op;
+        inst.scc = mn.scc;
 
         switch (op) {
           case Opcode::Ldhi:
@@ -404,21 +431,18 @@ class RiscAssembler final : public AsmCore
           case Opcode::Jmpr: {
             countIs(2);
             inst.rd = static_cast<std::uint8_t>(wantCond(stmt, 0));
-            if (stmt.operands[1].kind != OperandKind::Expr)
+            if (ops[1].kind != OperandKind::Expr)
                 err(stmt, "jmpr target must be an expression");
-            const std::int64_t target =
-                evalExpr(stmt, stmt.operands[1].expr);
+            const std::int64_t target = evalExpr(stmt, ops[1].expr);
             inst.imm19 = checkImm19(stmt, target - stmt.address);
             break;
           }
           case Opcode::Call:
-            if (stmt.operands.size() == 1 &&
-                stmt.operands[0].kind == OperandKind::Expr) {
+            if (ops.size() == 1 && ops[0].kind == OperandKind::Expr) {
                 // call <label>  ==>  callr r31, <label>
                 inst.op = Opcode::Callr;
                 inst.rd = 31;
-                const std::int64_t target =
-                    evalExpr(stmt, stmt.operands[0].expr);
+                const std::int64_t target = evalExpr(stmt, ops[0].expr);
                 inst.imm19 = checkImm19(stmt, target - stmt.address);
                 break;
             }
@@ -428,26 +452,25 @@ class RiscAssembler final : public AsmCore
           case Opcode::Callr: {
             countIs(2);
             inst.rd = static_cast<std::uint8_t>(wantReg(stmt, 0));
-            if (stmt.operands[1].kind != OperandKind::Expr)
+            if (ops[1].kind != OperandKind::Expr)
                 err(stmt, "callr target must be an expression");
-            const std::int64_t target =
-                evalExpr(stmt, stmt.operands[1].expr);
+            const std::int64_t target = evalExpr(stmt, ops[1].expr);
             inst.imm19 = checkImm19(stmt, target - stmt.address);
             break;
           }
           case Opcode::Ret:
           case Opcode::Reti:
-            if (stmt.operands.empty()) {
+            if (ops.empty()) {
                 // Plain "ret": return to r31 + 8 (skip call + slot).
                 inst.rs1 = 31;
                 inst.imm = true;
                 inst.simm13 = 8;
                 break;
             }
-            if (stmt.operands.size() != 2)
+            if (ops.size() != 2)
                 err(stmt, cat("'", m, "' takes 0 or 2 operands"));
             inst.rs1 = static_cast<std::uint8_t>(wantReg(stmt, 0));
-            applyS2(stmt, inst, stmt.operands[1]);
+            applyS2(stmt, inst, ops[1]);
             break;
           case Opcode::Calli:
           case Opcode::Gtlpc:

@@ -1,9 +1,10 @@
 #include "asm/core.hh"
 
 #include <algorithm>
-#include <cctype>
+#include <limits>
 
 #include "common/logging.hh"
+#include "common/name_table.hh"
 
 namespace risc1 {
 
@@ -15,6 +16,13 @@ constexpr std::uint32_t kDefaultOrg = 0x1000;
 /** The last address; the location counter never passes it. */
 constexpr std::uint32_t kAddrMax = 0xffffffff;
 
+/** The smallest value `.equ` accepts: -2^31. */
+constexpr std::int64_t kEquMin = -(std::int64_t{1} << 31);
+
+/** An expression's range: it is summed in 64 bits. */
+constexpr std::int64_t kValueMax = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kValueMin = std::numeric_limits<std::int64_t>::min();
+
 /** Data directives every ISA has. */
 constexpr DataDirective kSharedData[] = {
     {".word", 4, 4, SegmentKind::Data},
@@ -22,21 +30,15 @@ constexpr DataDirective kSharedData[] = {
     {".byte", 1, 1, SegmentKind::Data},
 };
 
-std::string
-toLower(std::string s)
-{
-    std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-        return static_cast<char>(std::tolower(c));
-    });
-    return s;
-}
-
 } // namespace
 
 Program
-AsmCore::assemble(const std::string &source)
+AsmCore::assemble(std::string_view source)
 {
-    parse(source);
+    // The cursor's lexer owns the text that is not in the source, so it
+    // lives as long as the statements that view it.
+    TokenCursor cur(source);
+    parse(cur);
     passOne();
     passTwo();
     resolveEntry();
@@ -51,21 +53,48 @@ AsmCore::err(const Stmt &stmt, const std::string &msg)
     fatal(cat("line ", stmt.line, ": ", msg));
 }
 
+/**
+ * The first term of @p expr that names an undefined symbol; nullptr,
+ * with @p value the sum at @p stmt's address, when there is none.
+ */
+const Expr::Term *
+AsmCore::sum(const Stmt &stmt, const Expr &expr, std::int64_t &value) const
+{
+    value = 0;
+    for (const auto &t : expr.terms) {
+        std::int64_t term = t.number;
+        if (t.isDot) {
+            term = stmt.address;
+        } else if (t.isSymbol) {
+            const auto it = symbols_.find(t.symbol);
+            if (it == symbols_.end())
+                return &t;
+            term = it->second;
+        }
+        const std::int64_t add = t.sign * term;
+        if (add > 0 ? value > kValueMax - add : value < kValueMin - add)
+            err(stmt, "expression does not fit in 64 bits");
+        value += add;
+    }
+    return nullptr;
+}
+
 std::int64_t
 AsmCore::evalExpr(const Stmt &stmt, const Expr &expr) const
 {
-    for (const auto &t : expr.terms)
-        if (t.isSymbol && !symbols_.contains(t.symbol))
-            err(stmt, cat("undefined symbol '", t.symbol, "'"));
-    return expr.eval(symbols_, stmt.address);
+    std::int64_t value;
+    if (const Expr::Term *undefined = sum(stmt, expr, value))
+        err(stmt, cat("undefined symbol '", undefined->symbol, "'"));
+    return value;
 }
 
 std::optional<std::int64_t>
 AsmCore::known(const Stmt &stmt, const Expr &expr) const
 {
-    if (!expr.resolvable(symbols_))
+    std::int64_t value;
+    if (sum(stmt, expr, value))
         return std::nullopt;
-    return expr.eval(symbols_, stmt.address);
+    return value;
 }
 
 unsigned
@@ -109,10 +138,10 @@ AsmCore::parseDirectiveOperand(TokenCursor &cur) const
 }
 
 void
-AsmCore::parse(const std::string &source)
+AsmCore::parse(TokenCursor &cur)
 {
-    TokenCursor cur(source);
-    std::vector<std::string> pendingLabels;
+    // Labels not yet bound to a statement: the tail of labels_.
+    std::uint32_t firstPending = 0;
 
     while (cur.skipNewlines()) {
         // Labels: ident ':' (several may stack on one address).
@@ -123,32 +152,46 @@ AsmCore::parse(const std::string &source)
                     fatal(cat("line ", identTok.line,
                               ": register name '", identTok.text,
                               "' used as a label"));
-                pendingLabels.push_back(identTok.text);
+                labels_.push_back(identTok.text);
                 cur.skipNewlines();
                 continue;
             }
             // Not a label: it is the mnemonic of a statement.
             Stmt stmt;
             stmt.line = identTok.line;
-            stmt.mnemonic = toLower(identTok.text);
+            stmt.mnemonic = identTok.text;
+            if (std::any_of(stmt.mnemonic.begin(), stmt.mnemonic.end(),
+                            [](char c) { return asciiLower(c) != c; })) {
+                std::string lower(stmt.mnemonic);
+                for (char &c : lower)
+                    c = asciiLower(c);
+                stmt.mnemonic = cur.keep(std::move(lower));
+            }
             stmt.directive = stmt.mnemonic[0] == '.';
-            stmt.labels = std::move(pendingLabels);
-            pendingLabels.clear();
+            if (!stmt.directive)
+                stmt.code = resolve(stmt.mnemonic);
+            const auto numLabels = static_cast<std::uint32_t>(labels_.size());
+            stmt.firstLabel = firstPending;
+            stmt.numLabels = numLabels - firstPending;
+            firstPending = numLabels;
 
+            stmt.firstOperand = static_cast<std::uint32_t>(operands_.size());
             if (cur.peek().kind != TokKind::Newline &&
                 cur.peek().kind != TokKind::End) {
                 do
-                    stmt.operands.push_back(
+                    operands_.push_back(
                         stmt.directive ? parseDirectiveOperand(cur)
                                        : parseOperand(cur));
                 while (cur.accept(TokKind::Comma));
             }
+            stmt.numOperands = static_cast<std::uint32_t>(operands_.size()) -
+                               stmt.firstOperand;
             if (cur.peek().kind != TokKind::Newline &&
                 cur.peek().kind != TokKind::End)
                 fatal(cat("line ", stmt.line,
                           ": trailing junk after statement: '",
                           cur.peek().text, "'"));
-            stmts_.push_back(std::move(stmt));
+            stmts_.push_back(stmt);
             break;
         }
         if (cur.peek().kind != TokKind::Ident &&
@@ -159,20 +202,22 @@ AsmCore::parse(const std::string &source)
         }
     }
 
-    if (!pendingLabels.empty()) {
+    if (firstPending != labels_.size()) {
         // Labels at end of file attach to an empty marker statement.
         Stmt stmt;
         stmt.directive = true;
         stmt.mnemonic = ".end_marker";
-        stmt.labels = std::move(pendingLabels);
-        stmts_.push_back(std::move(stmt));
+        stmt.firstLabel = firstPending;
+        stmt.numLabels = static_cast<std::uint32_t>(labels_.size()) -
+                         firstPending;
+        stmts_.push_back(stmt);
     }
 }
 
 // -- Directives -----------------------------------------------------------
 
 const DataDirective *
-AsmCore::dataDirective(const std::string &name) const
+AsmCore::dataDirective(std::string_view name) const
 {
     for (const DataDirective &d : kSharedData)
         if (d.name == name)
@@ -186,15 +231,16 @@ AsmCore::dataDirective(const std::string &name) const
 const Expr &
 AsmCore::numeric(const Stmt &stmt, std::size_t idx) const
 {
-    if (stmt.operands[idx].kind == OperandKind::Str)
+    const Operand &op = operands(stmt)[idx];
+    if (op.kind == OperandKind::Str)
         err(stmt, cat(stmt.mnemonic, " takes expression operands"));
-    return stmt.operands[idx].expr;
+    return op.expr;
 }
 
 std::int64_t
 AsmCore::knownOperand(const Stmt &stmt) const
 {
-    if (stmt.operands.size() == 1)
+    if (stmt.numOperands == 1)
         if (const auto value = known(stmt, numeric(stmt, 0)))
             return *value;
     err(stmt, cat(stmt.mnemonic, " needs one resolvable expression"));
@@ -215,14 +261,16 @@ AsmCore::orgAddress(const Stmt &stmt) const
 void
 AsmCore::defineEqu(const Stmt &stmt)
 {
-    if (stmt.operands.size() != 2)
+    if (stmt.numOperands != 2)
         err(stmt, ".equ takes: name, expression");
-    const auto name = stmt.operands[0].expr.asBareSymbol();
+    const auto name = operands(stmt)[0].expr.asBareSymbol();
     if (!name || regName(*name))
         err(stmt, ".equ first operand must be a name");
     const auto value = known(stmt, numeric(stmt, 1));
     if (!value)
         err(stmt, ".equ expression must be resolvable");
+    if (*value < kEquMin || *value > kAddrMax)
+        err(stmt, ".equ value does not fit in 32 bits");
     if (!symbols_.emplace(*name, static_cast<std::uint32_t>(*value)).second)
         err(stmt, cat("duplicate symbol '", *name, "'"));
 }
@@ -230,9 +278,9 @@ AsmCore::defineEqu(const Stmt &stmt)
 unsigned
 AsmCore::directiveSize(const Stmt &stmt)
 {
-    const std::string &m = stmt.mnemonic;
+    const std::string_view m = stmt.mnemonic;
     if (const DataDirective *data = dataDirective(m))
-        return data->width * static_cast<unsigned>(stmt.operands.size());
+        return data->width * stmt.numOperands;
     if (m == ".space") {
         const std::int64_t n = knownOperand(stmt);
         if (n < 0)
@@ -250,7 +298,7 @@ AsmCore::directiveSize(const Stmt &stmt)
     }
     if (m == ".ascii" || m == ".asciz") {
         unsigned total = 0;
-        for (const auto &op : stmt.operands) {
+        for (const auto &op : operands(stmt)) {
             if (op.kind != OperandKind::Str)
                 err(stmt, cat(m, " takes string operands"));
             total += static_cast<unsigned>(op.str.size());
@@ -279,9 +327,11 @@ AsmCore::passOne()
         // .org moves the location counter before its labels bind.
         if (stmt.mnemonic == ".org")
             stmt.address = addr = orgAddress(stmt);
-        for (const auto &label : stmt.labels)
+        for (std::uint32_t i = 0; i < stmt.numLabels; ++i) {
+            const std::string_view label = labels_[stmt.firstLabel + i];
             if (!symbols_.emplace(label, addr).second)
                 err(stmt, cat("duplicate label '", label, "'"));
+        }
 
         if (stmt.directive) {
             stmt.size = directiveSize(stmt);
@@ -319,7 +369,7 @@ AsmCore::passTwo()
     for (const auto &stmt : stmts_) {
         bytes.clear();
         SegmentKind kind = SegmentKind::Data;
-        const std::string &m = stmt.mnemonic;
+        const std::string_view m = stmt.mnemonic;
         if (!stmt.directive) {
             program_.staticInstructions += encode(stmt, bytes);
             if (bytes.size() != stmt.size)
@@ -331,9 +381,15 @@ AsmCore::passTwo()
                 err(stmt, cat(m, " at unaligned address (",
                               m == ".word" ? wordAlignHint_ : "use .align",
                               ")"));
-            for (std::size_t i = 0; i < stmt.operands.size(); ++i) {
-                const auto v = static_cast<std::uint32_t>(
-                    evalExpr(stmt, numeric(stmt, i)));
+            // A value fits its width as a signed or an unsigned number.
+            const unsigned bits = 8 * data->width;
+            const std::int64_t lo = -(std::int64_t{1} << (bits - 1));
+            const std::int64_t hi = (std::int64_t{1} << bits) - 1;
+            for (std::size_t i = 0; i < stmt.numOperands; ++i) {
+                const std::int64_t v = evalExpr(stmt, numeric(stmt, i));
+                if (v < lo || v > hi)
+                    err(stmt, cat(m, " value ", v, " does not fit in ",
+                                  bits, " bits"));
                 for (unsigned b = 0; b < data->width; ++b)
                     bytes.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
             }
@@ -341,20 +397,25 @@ AsmCore::passTwo()
         } else if (m == ".space" || m == ".align") {
             bytes.assign(stmt.size, 0);
         } else if (m == ".ascii" || m == ".asciz") {
-            for (const auto &op : stmt.operands) {
+            for (const auto &op : operands(stmt)) {
                 bytes.insert(bytes.end(), op.str.begin(), op.str.end());
                 if (m == ".asciz")
                     bytes.push_back(0);
             }
         } else if (m == ".entry") {
-            if (stmt.operands.size() != 1)
+            if (stmt.numOperands != 1)
                 err(stmt, ".entry takes one expression");
-            entry_ = static_cast<std::uint32_t>(
-                evalExpr(stmt, numeric(stmt, 0)));
+            const std::int64_t e = evalExpr(stmt, numeric(stmt, 0));
+            if (e < 0)
+                err(stmt, ".entry address must be non-negative");
+            if (e > kAddrMax)
+                err(stmt, ".entry address does not fit in 32 bits");
+            entry_ = static_cast<std::uint32_t>(e);
         }
         emit(stmt.address, kind, bytes);
     }
-    program_.symbols = symbols_;
+    for (const auto &[name, value] : symbols_)
+        program_.symbols.emplace(name, value);
 }
 
 void

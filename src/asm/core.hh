@@ -22,18 +22,30 @@
  *     .ascii/.asciz "s", ...   string bytes (.asciz adds a 0 each)
  *     .align expr              zero-pad to a power of two
  *
- * No statement may take the location counter past 0xffffffff.
+ * No statement may take the location counter past 0xffffffff.  A
+ * `.equ` value lies in [-2^31, 2^32) and an `.entry` in [0, 2^32); a
+ * data value fits its width as a signed or an unsigned number.
+ *
+ * Nothing is copied out of the source.  Tokens, expression terms,
+ * string operands, mnemonics and symbol names are views into it (or
+ * into the lexer's store, for unescaped literals and lowercased
+ * mnemonics), so the source must outlive the assembly; only the
+ * finished Program owns its strings.  Each statement's operands and
+ * labels are ranges of two pools the core owns, one growth sequence
+ * per assembly.  Symbols live in one hash table keyed by their views,
+ * so an expression term costs one lookup.  Every instruction mnemonic
+ * is resolved once, as it is parsed, through the ISA's hashed table.
  */
 
 #ifndef RISC1_ASM_CORE_HH
 #define RISC1_ASM_CORE_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "asm/parser.hh"
@@ -62,17 +74,23 @@ struct Operand
     std::uint8_t enc = 0;  ///< the VAX encoding pass 1 chose
     unsigned reg = 0;      ///< Reg, Mem and the VAX register modes
     Expr expr;             ///< Expr, Mem, Imm, Abs
-    std::string str;       ///< Str
+    std::string_view str;  ///< Str: its unescaped text
 };
 
 /** One statement (a line may hold labels plus a statement). */
 struct Stmt
 {
     int line = 0;
-    bool directive = false;          ///< the mnemonic starts with '.'
-    std::string mnemonic;            ///< lowercase
-    std::vector<Operand> operands;
-    std::vector<std::string> labels;  ///< labels bound to its address
+    bool directive = false;     ///< the mnemonic starts with '.'
+    std::string_view mnemonic;  ///< lowercase
+    /** An instruction's mnemonic, resolved as it is parsed (resolve()). */
+    std::uint32_t code = 0;
+    /** Its operands: a range of the core's operand pool. */
+    std::uint32_t firstOperand = 0;
+    std::uint32_t numOperands = 0;
+    /** The labels bound to its address: a range of the label pool. */
+    std::uint32_t firstLabel = 0;
+    std::uint32_t numLabels = 0;
 
     // Filled in by the first pass:
     std::uint32_t address = 0;
@@ -96,7 +114,7 @@ class AsmCore
      * Assemble @p source into a program image.  Call once per object.
      * @throws FatalError with line information on any error.
      */
-    Program assemble(const std::string &source);
+    Program assemble(std::string_view source);
 
   protected:
     /**
@@ -116,7 +134,14 @@ class AsmCore
 
     /** The register @p name names, or nullopt. */
     virtual std::optional<unsigned>
-    regName(const std::string &name) const = 0;
+    regName(std::string_view name) const = 0;
+
+    /**
+     * The code for instruction mnemonic @p mnemonic (lowercase), kept
+     * in Stmt::code.  An unknown mnemonic gets a code of its own; the
+     * ISA reports it in the pass that meets it.
+     */
+    virtual std::uint32_t resolve(std::string_view mnemonic) const = 0;
 
     /** Parse one instruction operand. */
     virtual Operand parseOperand(TokenCursor &cur) const = 0;
@@ -139,6 +164,19 @@ class AsmCore
     /** Raise "line N: msg" for @p stmt. */
     [[noreturn]] static void err(const Stmt &stmt, const std::string &msg);
 
+    /** @p stmt's operands; valid once parsing is done. */
+    std::span<const Operand>
+    operands(const Stmt &stmt) const
+    {
+        return {operands_.data() + stmt.firstOperand, stmt.numOperands};
+    }
+
+    std::span<Operand>
+    operands(const Stmt &stmt)
+    {
+        return {operands_.data() + stmt.firstOperand, stmt.numOperands};
+    }
+
     /** @p expr at @p stmt's address; an undefined symbol is an error. */
     std::int64_t evalExpr(const Stmt &stmt, const Expr &expr) const;
 
@@ -153,7 +191,7 @@ class AsmCore
     Operand exprOrMem(TokenCursor &cur) const;
 
   private:
-    void parse(const std::string &source);
+    void parse(TokenCursor &cur);
     Operand parseDirectiveOperand(TokenCursor &cur) const;
     void passOne();
     void passTwo();
@@ -164,7 +202,9 @@ class AsmCore
     void defineEqu(const Stmt &stmt);
     const Expr &numeric(const Stmt &stmt, std::size_t idx) const;
     std::int64_t knownOperand(const Stmt &stmt) const;
-    const DataDirective *dataDirective(const std::string &name) const;
+    const Expr::Term *sum(const Stmt &stmt, const Expr &expr,
+                          std::int64_t &value) const;
+    const DataDirective *dataDirective(std::string_view name) const;
     void emit(std::uint32_t addr, SegmentKind kind,
               const std::vector<std::uint8_t> &bytes);
 
@@ -173,7 +213,9 @@ class AsmCore
     const std::span<const DataDirective> isaData_;
 
     std::vector<Stmt> stmts_;
-    std::map<std::string, std::uint32_t> symbols_;
+    std::vector<Operand> operands_;         ///< every statement's, in order
+    std::vector<std::string_view> labels_;  ///< every statement's, in order
+    std::unordered_map<std::string_view, std::uint32_t> symbols_;
     std::optional<std::uint32_t> entry_;
     Program program_;
 };

@@ -1,6 +1,7 @@
 #include "asm/lexer.hh"
 
 #include <cctype>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -74,8 +75,7 @@ Lexer::next()
         while (j < n && isIdentBody(src_[j]))
             ++j;
         pos_ = j;
-        return Token{TokKind::Ident, std::string(src_.substr(i, j - i)), 0,
-                     line};
+        return Token{TokKind::Ident, src_.substr(i, j - i), 0, line};
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
         std::size_t j = i;
@@ -90,6 +90,8 @@ Lexer::next()
             j += 2;
         }
         const std::size_t digitsStart = j;
+        constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+        const std::int64_t limit = kMax / base;
         std::int64_t value = 0;
         while (j < n) {
             const char d = src_[j];
@@ -105,47 +107,59 @@ Lexer::next()
             if (dv >= base)
                 fatal(cat("line ", line, ": bad digit '", d,
                           "' for base ", base));
+            if (value > limit || value * base > kMax - dv)
+                fatal(cat("line ", line, ": number too large"));
             value = value * base + dv;
             ++j;
         }
         if (j == digitsStart)
             fatal(cat("line ", line, ": number with no digits"));
         pos_ = j;
-        return Token{TokKind::Number, std::string(src_.substr(i, j - i)),
-                     value, line};
+        return Token{TokKind::Number, src_.substr(i, j - i), value, line};
     }
     if (c == '\'') {
         if (i + 2 >= n)
             fatal(cat("line ", line, ": unterminated char literal"));
-        char v = src_[i + 1];
-        std::size_t j = i + 2;
-        if (v == '\\') {
-            v = unescape(src_[i + 2], line);
-            j = i + 3;
+        if (src_[i + 1] != '\\') {
+            if (src_[i + 2] != '\'')
+                fatal(cat("line ", line, ": unterminated char literal"));
+            pos_ = i + 3;
+            return Token{TokKind::Number, src_.substr(i + 1, 1), src_[i + 1],
+                         line};
         }
-        if (j >= n || src_[j] != '\'')
+        const char v = unescape(src_[i + 2], line);
+        if (i + 3 >= n || src_[i + 3] != '\'')
             fatal(cat("line ", line, ": unterminated char literal"));
-        pos_ = j + 1;
-        return Token{TokKind::Number, std::string(1, v), v, line};
+        pos_ = i + 4;
+        return Token{TokKind::Number, keep(std::string(1, v)), v, line};
     }
     if (c == '"') {
-        std::string text;
+        // The text is a view of the source unless an escape forces an
+        // unescaped copy into the store.
+        bool escaped = false;
         std::size_t j = i + 1;
         while (j < n && src_[j] != '"') {
             if (src_[j] == '\n')
                 fatal(cat("line ", line, ": unterminated string"));
             if (src_[j] == '\\' && j + 1 < n) {
-                text.push_back(unescape(src_[j + 1], line));
+                unescape(src_[j + 1], line);
+                escaped = true;
                 j += 2;
             } else {
-                text.push_back(src_[j]);
                 ++j;
             }
         }
         if (j >= n)
             fatal(cat("line ", line, ": unterminated string"));
         pos_ = j + 1;
-        return Token{TokKind::Str, std::move(text), 0, line};
+        const std::string_view raw = src_.substr(i + 1, j - i - 1);
+        if (!escaped)
+            return Token{TokKind::Str, raw, 0, line};
+        std::string text;
+        for (std::size_t k = 0; k < raw.size(); ++k)
+            text.push_back(raw[k] == '\\' ? unescape(raw[++k], line)
+                                           : raw[k]);
+        return Token{TokKind::Str, keep(std::move(text)), 0, line};
     }
     TokKind kind;
     switch (c) {
@@ -162,18 +176,14 @@ Lexer::next()
         fatal(cat("line ", line, ": unexpected character '", c, "'"));
     }
     ++pos_;
-    return Token{kind, std::string(1, c), 0, line};
+    return Token{kind, src_.substr(i, 1), 0, line};
 }
 
-std::vector<Token>
-lex(const std::string &source)
+std::string_view
+Lexer::keep(std::string text)
 {
-    Lexer lexer(source);
-    std::vector<Token> tokens;
-    do
-        tokens.push_back(lexer.next());
-    while (tokens.back().kind != TokKind::End);
-    return tokens;
+    kept_.push_front(std::move(text));
+    return kept_.front();
 }
 
 } // namespace risc1

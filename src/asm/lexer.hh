@@ -9,15 +9,18 @@
  *  - numbers: decimal, 0x hex, 0b binary, 'c' character literals
  *  - punctuation: , : ( ) + - # @ *
  *  - strings: "..." with \n \t \0 \\ \" escapes
+ *
+ * Tokens copy no text: each views the source, which must outlive the
+ * lexer and every token it made, or the lexer's own store.
  */
 
 #ifndef RISC1_ASM_LEXER_HH
 #define RISC1_ASM_LEXER_HH
 
 #include <cstdint>
+#include <forward_list>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace risc1 {
 
@@ -40,11 +43,18 @@ enum class TokKind : std::uint8_t
     End,
 };
 
-/** One token with its source line for error reporting. */
+/**
+ * One token with its source line for error reporting.  The text is a
+ * view, never a copy: into the source for identifiers, numbers and
+ * punctuation (empty for Newline and End), and into the lexer's store
+ * for a string literal with escapes or an escaped char literal, whose
+ * text is the unescaped bytes.  A token is valid while both the source
+ * and the lexer that made it live.
+ */
 struct Token
 {
     TokKind kind = TokKind::End;
-    std::string text;
+    std::string_view text;
     std::int64_t value = 0;
     int line = 0;
 };
@@ -57,7 +67,7 @@ struct Token
 class Lexer
 {
   public:
-    /** Tokenize @p source, which must outlive the lexer. */
+    /** Tokenize @p source, which must outlive the lexer and its tokens. */
     explicit Lexer(std::string_view source) : src_(source) {}
 
     /**
@@ -67,18 +77,21 @@ class Lexer
      */
     Token next();
 
+    /**
+     * Keep @p text for the lexer's lifetime and return a view of it.
+     * Kept text never moves, so every view stays valid however much
+     * more is kept.
+     */
+    std::string_view keep(std::string text);
+
   private:
     std::string_view src_;
     std::size_t pos_ = 0;
     int line_ = 1;
     bool closed_ = false;  ///< the closing Newline has been returned
+    /** Text that is not in the source; list nodes never move. */
+    std::forward_list<std::string> kept_;
 };
-
-/**
- * Tokenize all of @p source, through the closing Newline and End.
- * @throws FatalError on malformed literals, with the line number.
- */
-std::vector<Token> lex(const std::string &source);
 
 } // namespace risc1
 

@@ -16,38 +16,7 @@ Expr::constant(std::int64_t value)
     return e;
 }
 
-bool
-Expr::resolvable(const std::map<std::string, std::uint32_t> &symbols) const
-{
-    for (const auto &t : terms)
-        if (t.isSymbol && !symbols.contains(t.symbol))
-            return false;
-    return true;
-}
-
-std::int64_t
-Expr::eval(const std::map<std::string, std::uint32_t> &symbols,
-           std::uint32_t dot) const
-{
-    std::int64_t value = 0;
-    for (const auto &t : terms) {
-        std::int64_t term;
-        if (t.isDot) {
-            term = dot;
-        } else if (t.isSymbol) {
-            const auto it = symbols.find(t.symbol);
-            if (it == symbols.end())
-                fatal(cat("undefined symbol '", t.symbol, "'"));
-            term = it->second;
-        } else {
-            term = t.number;
-        }
-        value += t.sign * term;
-    }
-    return value;
-}
-
-std::optional<std::string>
+std::optional<std::string_view>
 Expr::asBareSymbol() const
 {
     if (terms.size() == 1 && terms[0].isSymbol && terms[0].sign == 1)
@@ -129,7 +98,7 @@ TokenCursor::parseExpr()
 }
 
 std::optional<unsigned>
-parseRegName(const std::string &name)
+parseRegName(std::string_view name)
 {
     if (name.size() < 2 || name.size() > 3 ||
         (name[0] != 'r' && name[0] != 'R'))

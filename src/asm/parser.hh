@@ -10,9 +10,9 @@
 #define RISC1_ASM_PARSER_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "asm/lexer.hh"
@@ -21,7 +21,8 @@ namespace risc1 {
 
 /**
  * A symbolic additive expression: sum of signed terms, each a number,
- * a symbol, or '.' (the statement's address).
+ * a symbol, or '.' (the statement's address).  The assembler core
+ * evaluates it against its symbol table (AsmCore::evalExpr).
  */
 struct Expr
 {
@@ -31,7 +32,7 @@ struct Expr
         bool isSymbol = false;
         bool isDot = false;
         std::int64_t number = 0;
-        std::string symbol;
+        std::string_view symbol;  ///< a view into the source
     };
 
     std::vector<Term> terms;
@@ -39,19 +40,8 @@ struct Expr
     /** Constant-expression convenience constructor. */
     static Expr constant(std::int64_t value);
 
-    /** True when every symbol term is defined in @p symbols. */
-    bool resolvable(
-        const std::map<std::string, std::uint32_t> &symbols) const;
-
-    /**
-     * Evaluate with @p dot as the value of '.'.
-     * @throws FatalError on an undefined symbol.
-     */
-    std::int64_t eval(const std::map<std::string, std::uint32_t> &symbols,
-                      std::uint32_t dot) const;
-
-    /** True for an expression that is a single bare symbol. */
-    std::optional<std::string> asBareSymbol() const;
+    /** The symbol, for an expression that is a single bare symbol. */
+    std::optional<std::string_view> asBareSymbol() const;
 };
 
 /**
@@ -61,7 +51,7 @@ struct Expr
 class TokenCursor
 {
   public:
-    /** Parse @p source, which must outlive the cursor. */
+    /** Parse @p source, which must outlive the cursor and its tokens. */
     explicit TokenCursor(std::string_view source)
         : lexer_(source), next_(lexer_.next())
     {}
@@ -92,13 +82,20 @@ class TokenCursor
     /** Parse an additive expression (signs, numbers, symbols, '.'). */
     Expr parseExpr();
 
+    /** Keep @p text as long as the cursor lives (Lexer::keep). */
+    std::string_view
+    keep(std::string text)
+    {
+        return lexer_.keep(std::move(text));
+    }
+
   private:
     Lexer lexer_;
     Token next_;  ///< lookahead
 };
 
 /** Parse a register name ("r0".."r31"); nullopt when not a register. */
-std::optional<unsigned> parseRegName(const std::string &name);
+std::optional<unsigned> parseRegName(std::string_view name);
 
 } // namespace risc1
 

@@ -3,6 +3,7 @@
 #include <array>
 
 #include "common/logging.hh"
+#include "common/name_table.hh"
 
 namespace risc1 {
 
@@ -51,9 +52,14 @@ condName(Cond cond)
 std::optional<Cond>
 condFromName(std::string_view name)
 {
-    for (std::size_t i = 0; i < condNames.size(); ++i)
-        if (condNames[i] == name)
-            return static_cast<Cond>(i);
+    static const auto byName = [] {
+        NameTable<Cond> t;
+        for (std::size_t i = 0; i < condNames.size(); ++i)
+            t.add(condNames[i], static_cast<Cond>(i));
+        return t;
+    }();
+    if (const Cond *cond = byName.find(name))
+        return *cond;
     return std::nullopt;
 }
 

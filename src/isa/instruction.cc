@@ -4,6 +4,7 @@
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
+#include "common/name_table.hh"
 
 namespace risc1 {
 
@@ -79,9 +80,14 @@ opcodeInfo(Opcode op)
 std::optional<Opcode>
 opcodeFromMnemonic(std::string_view mnemonic)
 {
-    for (const auto &info : opcodeTable)
-        if (info.mnemonic == mnemonic)
-            return info.op;
+    static const auto byName = [] {
+        NameTable<Opcode> t;
+        for (const auto &info : opcodeTable)
+            t.add(info.mnemonic, info.op);
+        return t;
+    }();
+    if (const Opcode *op = byName.find(mnemonic))
+        return *op;
     return std::nullopt;
 }
 

@@ -1,6 +1,5 @@
 #include "vax/vassembler.hh"
 
-#include <cctype>
 #include <optional>
 #include <string>
 #include <vector>
@@ -8,6 +7,7 @@
 #include "asm/core.hh"
 #include "common/bitfield.hh"
 #include "common/logging.hh"
+#include "common/name_table.hh"
 #include "vax/visa.hh"
 
 namespace risc1 {
@@ -16,22 +16,30 @@ namespace {
 
 /** Register-name lookup (r0..r15, ap, fp, sp, pc; any case). */
 std::optional<unsigned>
-vaxRegName(std::string name)
+vaxRegName(std::string_view name)
 {
-    for (auto &c : name)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (name == "ap")
-        return vaxAp;
-    if (name == "fp")
-        return vaxFp;
-    if (name == "sp")
-        return vaxSp;
-    if (name == "pc")
-        return vaxPc;
-    if (auto r = parseRegName(name))
-        return *r <= 15 ? r : std::nullopt;
+    static const auto regs = [] {
+        NameTable<unsigned> t;
+        for (unsigned r = 0; r < vaxNumRegs; ++r)
+            t.add(cat("r", r), r);
+        t.add("ap", vaxAp);
+        t.add("fp", vaxFp);
+        t.add("sp", vaxSp);
+        t.add("pc", vaxPc);
+        return t;
+    }();
+    char lower[3];
+    if (name.size() > sizeof lower)
+        return std::nullopt;
+    for (std::size_t i = 0; i < name.size(); ++i)
+        lower[i] = asciiLower(name[i]);
+    if (const unsigned *r = regs.find({lower, name.size()}))
+        return *r;
     return std::nullopt;
 }
+
+/** Stmt::code of a mnemonic that names no opcode. */
+constexpr std::uint32_t kUnknownOp = 0x100;
 
 /** Operand encodings chosen during pass 1. */
 enum class VEnc : std::uint8_t
@@ -89,9 +97,16 @@ class VaxAssembler final : public AsmCore
 
   private:
     std::optional<unsigned>
-    regName(const std::string &name) const override
+    regName(std::string_view name) const override
     {
         return vaxRegName(name);
+    }
+
+    std::uint32_t
+    resolve(std::string_view mnemonic) const override
+    {
+        const auto op = vaxOpcodeFromMnemonic(mnemonic);
+        return op ? static_cast<std::uint32_t>(*op) : kUnknownOp;
     }
 
     /** Parse one operand in any of the VAX forms. */
@@ -185,17 +200,18 @@ class VaxAssembler final : public AsmCore
     unsigned
     instructionSize(Stmt &stmt) override
     {
-        const auto opOpt = vaxOpcodeFromMnemonic(stmt.mnemonic);
-        if (!opOpt)
+        if (stmt.code == kUnknownOp)
             err(stmt, cat("unknown mnemonic '", stmt.mnemonic, "'"));
-        const VaxOpInfo *info = vaxOpcodeInfo(*opOpt);
-        if (stmt.operands.size() != info->numOperands)
+        const VaxOpInfo *info =
+            vaxOpcodeInfo(static_cast<VaxOpcode>(stmt.code));
+        const auto ops = operands(stmt);
+        if (ops.size() != info->numOperands)
             err(stmt, cat("'", stmt.mnemonic, "' takes ",
                           unsigned{info->numOperands}, " operand(s), got ",
-                          stmt.operands.size()));
+                          ops.size()));
         unsigned size = 1;
         for (unsigned i = 0; i < info->numOperands; ++i) {
-            Operand &op = stmt.operands[i];
+            Operand &op = ops[i];
             const VEnc enc = chooseEncoding(stmt, op, info->operands[i]);
             op.enc = static_cast<std::uint8_t>(enc);
             size += encBytes(enc);
@@ -294,12 +310,13 @@ class VaxAssembler final : public AsmCore
     unsigned
     encode(const Stmt &stmt, std::vector<std::uint8_t> &out) override
     {
-        const auto op = *vaxOpcodeFromMnemonic(stmt.mnemonic);
+        const auto op = static_cast<VaxOpcode>(stmt.code);
         const VaxOpInfo *info = vaxOpcodeInfo(op);
+        const auto ops = operands(stmt);
         const std::size_t start = out.size();
         out.push_back(static_cast<std::uint8_t>(op));
         for (unsigned i = 0; i < info->numOperands; ++i)
-            encodeOperand(stmt, stmt.operands[i],
+            encodeOperand(stmt, ops[i],
                           stmt.address + static_cast<std::uint32_t>(
                                              out.size() - start),
                           out);

@@ -3,6 +3,7 @@
 #include <array>
 
 #include "common/logging.hh"
+#include "common/name_table.hh"
 
 namespace risc1 {
 
@@ -134,11 +135,16 @@ vaxOpcodeInfo(VaxOpcode op)
 std::optional<VaxOpcode>
 vaxOpcodeFromMnemonic(std::string_view mnemonic)
 {
-    std::size_t count = 0;
-    const VaxOpInfo *all = vaxAllOpcodes(count);
-    for (std::size_t i = 0; i < count; ++i)
-        if (all[i].mnemonic == mnemonic)
-            return all[i].op;
+    static const auto byName = [] {
+        NameTable<VaxOpcode> t;
+        std::size_t count = 0;
+        const VaxOpInfo *all = vaxAllOpcodes(count);
+        for (std::size_t i = 0; i < count; ++i)
+            t.add(all[i].mnemonic, all[i].op);
+        return t;
+    }();
+    if (const VaxOpcode *op = byName.find(mnemonic))
+        return *op;
     return std::nullopt;
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "asm/assembler.hh"
 #include "common/logging.hh"
 #include "helpers.hh"
@@ -174,6 +179,70 @@ ok:     HALT
 )");
     m.run();
     EXPECT_EQ(m.reg(1), 5u);
+}
+
+/** The bytes and entry of @p prog, the parts an image is made of. */
+std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>>
+imageOf(const Program &prog)
+{
+    std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> out;
+    out.emplace_back(prog.entry, std::vector<std::uint8_t>{});
+    for (const Segment &seg : prog.segments)
+        out.emplace_back(seg.base, seg.bytes);
+    return out;
+}
+
+TEST(AsmEdges, CaseIsIgnoredInNames)
+{
+    // Mnemonics and register names match in any case, on both ISAs.
+    EXPECT_EQ(imageOf(assembleRisc("ADD R1, R2, 3\nHALT\n")),
+              imageOf(assembleRisc("add r1, r2, 3\nhalt\n")));
+    EXPECT_EQ(
+        imageOf(assembleVax("MOVL #1, R0\npushl AP\nmovl Fp, sP\n")),
+        imageOf(assembleVax("movl #1, r0\npushl ap\nmovl fp, sp\n")));
+
+    // A register name in any case is still no label, and the error
+    // prints the label as written.
+    const std::pair<bool, const char *> labels[] = {
+        {false, "R5"}, {true, "SP"}, {true, "Pc"}};
+    for (const auto &[vax, label] : labels) {
+        const std::string src = std::string(label) + ": halt\n";
+        try {
+            vax ? assembleVax(src) : assembleRisc(src);
+            ADD_FAILURE() << "assembled: " << src;
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string("line 1: register name '") + label +
+                          "' used as a label");
+        }
+    }
+}
+
+TEST(AsmEdges, ValuesAtTheEdgesOfTheirRanges)
+{
+    // `.equ` takes [-2^31, 2^32), stored as the low 32 bits; data
+    // values fit their width as signed or unsigned; `.entry` takes any
+    // 32-bit address.
+    for (const bool vax : {false, true}) {
+        const std::string src =
+            ".equ neg, 0 - 4\n.equ lo, 0 - 0x80000000\n"
+            ".equ hi, 0xffffffff\nstart: halt\n.align 4\n"
+            "data: .word 0xffffffff, 0 - 0x80000000\n"
+            ".half 0xffff, 0 - 0x8000\n.byte 255, 0 - 128\n"
+            ".entry 0xffffffff\n";
+        const Program prog = vax ? assembleVax(src) : assembleRisc(src);
+        EXPECT_EQ(prog.symbol("neg"), 0xfffffffcu);
+        EXPECT_EQ(prog.symbol("lo"), 0x80000000u);
+        EXPECT_EQ(prog.symbol("hi"), 0xffffffffu);
+        EXPECT_EQ(prog.entry, 0xffffffffu);
+        const std::vector<std::uint8_t> data = {
+            0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x80,
+            0xff, 0xff, 0x00, 0x80, 0xff, 0x80};
+        // The VAX's data segment starts with the .align padding.
+        const std::vector<std::uint8_t> &seg = prog.segments.back().bytes;
+        ASSERT_GE(seg.size(), data.size());
+        EXPECT_TRUE(std::equal(data.rbegin(), data.rend(), seg.rbegin()));
+    }
 }
 
 TEST(AsmEdges, VaxOrgIsByteGranular)
@@ -424,6 +493,71 @@ const ErrorRow kErrorRows[] = {
      "line 2: location counter passes 0xffffffff"},
     {true, ".org 0xffffffff\nstart: halt\n",
      "line 2: location counter passes 0xffffffff"},
+
+    // Values are range-checked, never silently narrowed to 32 bits or
+    // to a data directive's width.
+    {false, ".equ big, 0x100000005\nstart: halt\n",
+     "line 1: .equ value does not fit in 32 bits"},
+    {true, ".equ big, 0x100000005\nstart: halt\n",
+     "line 1: .equ value does not fit in 32 bits"},
+    {false, ".equ low, 0 - 0x80000001\nstart: halt\n",
+     "line 1: .equ value does not fit in 32 bits"},
+    {true, ".equ low, 0 - 0x80000001\nstart: halt\n",
+     "line 1: .equ value does not fit in 32 bits"},
+    {false, "start: halt\n.entry 0x100001000\n",
+     "line 2: .entry address does not fit in 32 bits"},
+    {true, "start: halt\n.entry 0x100001000\n",
+     "line 2: .entry address does not fit in 32 bits"},
+    {false, "start: halt\n.entry 0 - 4\n",
+     "line 2: .entry address must be non-negative"},
+    {true, "start: halt\n.entry 0 - 4\n",
+     "line 2: .entry address must be non-negative"},
+    {false, "start: halt\n.word 0x100000000\n",
+     "line 2: .word value 4294967296 does not fit in 32 bits"},
+    {true, "start: halt\n.align 4\n.word 0x100000000\n",
+     "line 3: .word value 4294967296 does not fit in 32 bits"},
+    {false, "start: halt\n.word 1, 0 - 0x80000001\n",
+     "line 2: .word value -2147483649 does not fit in 32 bits"},
+    {true, "start: halt\n.align 4\n.word 1, 0 - 0x80000001\n",
+     "line 3: .word value -2147483649 does not fit in 32 bits"},
+    {false, "start: halt\n.half 0x10000\n",
+     "line 2: .half value 65536 does not fit in 16 bits"},
+    {true, "start: halt\n.align 2\n.half 0x10000\n",
+     "line 3: .half value 65536 does not fit in 16 bits"},
+    {false, "start: halt\n.half 0 - 0x8001\n",
+     "line 2: .half value -32769 does not fit in 16 bits"},
+    {true, "start: halt\n.align 2\n.half 0 - 0x8001\n",
+     "line 3: .half value -32769 does not fit in 16 bits"},
+    {false, "start: halt\n.byte 256\n",
+     "line 2: .byte value 256 does not fit in 8 bits"},
+    {true, "start: halt\n.byte 256\n",
+     "line 2: .byte value 256 does not fit in 8 bits"},
+    {false, "start: halt\n.byte 0 - 129\n",
+     "line 2: .byte value -129 does not fit in 8 bits"},
+    {true, "start: halt\n.byte 0 - 129\n",
+     "line 2: .byte value -129 does not fit in 8 bits"},
+    {true, "start: halt\n.mask 0x10000\n",
+     "line 2: .mask value 65536 does not fit in 16 bits"},
+    {true, "start: halt\n.mask 0 - 0x8001\n",
+     "line 2: .mask value -32769 does not fit in 16 bits"},
+    {false, ".equ big, 0x10000000000000005\nstart: halt\n",
+     "line 1: number too large"},
+    {true, ".equ big, 0x10000000000000005\nstart: halt\n",
+     "line 1: number too large"},
+    {false, "start: ldi r1, 9223372036854775808\n",
+     "line 1: number too large"},
+    {true, "start: movl #9223372036854775808, r0\n",
+     "line 1: number too large"},
+    {false, ".equ x, 0x7fffffffffffffff + 0x7fffffffffffffff + 2\n"
+            "start: halt\n",
+     "line 1: expression does not fit in 64 bits"},
+    {true, ".equ x, 0x7fffffffffffffff + 0x7fffffffffffffff + 2\n"
+           "start: halt\n",
+     "line 1: expression does not fit in 64 bits"},
+    {false, "start: halt\n.word 0 - 0x7fffffffffffffff - 2\n",
+     "line 2: expression does not fit in 64 bits"},
+    {true, "start: halt\n.byte 0 - 0x7fffffffffffffff - 2\n",
+     "line 2: expression does not fit in 64 bits"},
 };
 
 TEST(AsmEdges, CodeAtTheTopOfTheAddressSpace)

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "asm/assembler.hh"
 #include "asm/lexer.hh"
 #include "asm/parser.hh"
 #include "common/logging.hh"
@@ -10,10 +16,40 @@
 namespace risc1 {
 namespace {
 
-std::vector<Token>
-lexOk(const std::string &src)
+/**
+ * A source and all of its tokens, through End.  The tokens view the
+ * source and the lexer's store, so all three live and die together;
+ * a Lexed neither copies nor moves.
+ */
+class Lexed
 {
-    return lex(src);
+  public:
+    explicit Lexed(std::string source)
+        : source_(std::move(source)), lexer_(source_)
+    {
+        do
+            tokens_.push_back(lexer_.next());
+        while (tokens_.back().kind != TokKind::End);
+    }
+
+    Lexed(const Lexed &) = delete;
+    Lexed &operator=(const Lexed &) = delete;
+
+    const Token &operator[](std::size_t i) const { return tokens_[i]; }
+    std::size_t size() const { return tokens_.size(); }
+    auto begin() const { return tokens_.begin(); }
+    auto end() const { return tokens_.end(); }
+
+  private:
+    const std::string source_;
+    Lexer lexer_;
+    std::vector<Token> tokens_;
+};
+
+Lexed
+lexOk(std::string src)
+{
+    return Lexed(std::move(src));
 }
 
 TEST(Lexer, BasicTokens)
@@ -35,6 +71,25 @@ TEST(Lexer, NumberBases)
     EXPECT_EQ(toks[1].value, 0x1f);
     EXPECT_EQ(toks[2].value, 5);
     EXPECT_EQ(toks[3].value, 0);
+}
+
+TEST(Lexer, NumbersStopAtInt64Max)
+{
+    // A literal either fits a signed 64-bit value or is an error; it
+    // never wraps.
+    const auto toks = lexOk("0x7fffffffffffffff 9223372036854775807\n");
+    EXPECT_EQ(toks[0].value, std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(toks[1].value, std::numeric_limits<std::int64_t>::max());
+    for (const char *src : {"0x8000000000000000\n", "9223372036854775808\n",
+                            "0b1" "000000000000000000000000000000000000000"
+                            "000000000000000000000000\n"}) {
+        try {
+            lexOk(src);
+            ADD_FAILURE() << "lexed: " << src;
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()), "line 1: number too large");
+        }
+    }
 }
 
 TEST(Lexer, CharLiterals)
@@ -84,23 +139,23 @@ TEST(Lexer, PunctuationForBothAssemblers)
 TEST(Lexer, ErrorsAreFatalWithLine)
 {
     try {
-        lex("ok\n$bad\n");
+        lexOk("ok\n$bad\n");
         FAIL();
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("line 2"),
                   std::string::npos);
     }
-    EXPECT_THROW(lex("\"unterminated\n"), FatalError);
-    EXPECT_THROW(lex("'x\n"), FatalError);
-    EXPECT_THROW(lex("0x\n"), FatalError);
-    EXPECT_THROW(lex("0b2\n"), FatalError);
-    EXPECT_THROW(lex("\"bad\\q\"\n"), FatalError);
+    EXPECT_THROW(lexOk("\"unterminated\n"), FatalError);
+    EXPECT_THROW(lexOk("'x\n"), FatalError);
+    EXPECT_THROW(lexOk("0x\n"), FatalError);
+    EXPECT_THROW(lexOk("0b2\n"), FatalError);
+    EXPECT_THROW(lexOk("\"bad\\q\"\n"), FatalError);
 }
 
 TEST(Lexer, StreamsOneTokenAtATimeThenEndForever)
 {
     // The parser reads one token ahead of the lexer and may ask again
-    // at End; lex() is exactly the collected stream.
+    // at End; lexOk() is exactly the collected stream.
     Lexer lexer("add r1 ; note\n");
     const TokKind want[] = {TokKind::Ident, TokKind::Ident,
                             TokKind::Newline, TokKind::Newline,
@@ -110,7 +165,7 @@ TEST(Lexer, StreamsOneTokenAtATimeThenEndForever)
         streamed.push_back(lexer.next());
         EXPECT_EQ(streamed.back().kind, kind);
     }
-    const auto collected = lex("add r1 ; note\n");
+    const auto collected = lexOk("add r1 ; note\n");
     ASSERT_EQ(collected.size(), streamed.size() - 1);
     for (std::size_t i = 0; i < collected.size(); ++i) {
         EXPECT_EQ(collected[i].kind, streamed[i].kind);
@@ -124,7 +179,7 @@ TEST(Lexer, ErrorsSurfaceWhenTheParserReachesThem)
     // Streaming: the earlier statement parses, and the malformed
     // token fails with its own line once the lookahead reaches it.
     TokenCursor cur("1 + 2\n$\n");
-    EXPECT_EQ(cur.parseExpr().eval({}, 0), 3);
+    EXPECT_EQ(cur.parseExpr().terms.size(), 2u);
     EXPECT_EQ(cur.peek().kind, TokKind::Newline);
     try {
         cur.get();
@@ -148,54 +203,113 @@ TEST(Lexer, FuzzNeverCrashes)
         for (std::size_t i = 0; i < len; ++i)
             src.push_back(alphabet[rng.below(alphabet.size())]);
         try {
-            const auto toks = lex(src);
-            EXPECT_FALSE(toks.empty());
+            const auto toks = lexOk(src);
+            EXPECT_GT(toks.size(), 0u);
         } catch (const FatalError &) {
             // acceptable
         }
     }
 }
 
+TEST(Lexer, TextViewsTheSource)
+{
+    // Identifiers, numbers, punctuation and an escape-free string are
+    // views into the source itself, not copies.
+    const std::string src = "loop: .word 0x10, \"plain\"\n";
+    Lexer lexer(src);
+    const Token label = lexer.next();
+    const Token colon = lexer.next();
+    lexer.next();  // .word
+    const Token number = lexer.next();
+    lexer.next();  // ,
+    const Token str = lexer.next();
+    EXPECT_EQ(label.text, "loop");
+    EXPECT_EQ(label.text.data(), src.data());
+    EXPECT_EQ(colon.text.data(), src.data() + 4);
+    EXPECT_EQ(number.text, "0x10");
+    EXPECT_EQ(number.value, 0x10);
+    EXPECT_EQ(str.text, "plain");
+    EXPECT_EQ(str.text.data(), src.data() + src.find("plain"));
+}
+
+TEST(Lexer, KeptTextNeverMoves)
+{
+    // Escaped literals unescape into the lexer's store.  Every token is
+    // kept while hundreds more are made; a store that reallocates (a
+    // vector of short strings) would leave the first views dangling,
+    // which ASan reports.
+    std::string src;
+    for (int i = 0; i < 400; ++i)
+        src += "\"k\\t" + std::to_string(i) + "\" '\\n' '\\''\n";
+    const Lexed toks(src);
+    ASSERT_EQ(toks.size(), 4u * 400 + 2);  // then the closing Newline, End
+    for (int i = 0; i < 400; ++i) {
+        const std::size_t at = 4 * static_cast<std::size_t>(i);
+        ASSERT_EQ(toks[at].kind, TokKind::Str);
+        EXPECT_EQ(toks[at].text, "k\t" + std::to_string(i));
+        EXPECT_EQ(toks[at + 1].text, "\n");
+        EXPECT_EQ(toks[at + 1].value, '\n');
+        EXPECT_EQ(toks[at + 2].text, "'");
+        EXPECT_EQ(toks[at + 2].value, '\'');
+    }
+}
+
+/** The value `.equ v, <expr>` gives v, read from the program. */
+std::uint32_t
+equValue(const std::string &setup, const std::string &expr)
+{
+    return assembleRisc(setup + ".equ v, " + expr + "\n").symbol("v");
+}
+
 TEST(Expr, AdditiveEvaluation)
 {
     TokenCursor cur("1 + 2 + 3\n");
-    const Expr e = cur.parseExpr();
-    EXPECT_EQ(e.eval({}, 0), 6);
+    EXPECT_EQ(cur.parseExpr().terms.size(), 3u);
+    EXPECT_EQ(equValue("start: halt\n", "1 + 2 + 3"), 6u);
 }
 
 TEST(Expr, MixedSignsAndSymbols)
 {
     TokenCursor cur("end - start + 4\n");
     const Expr e = cur.parseExpr();
-    const std::map<std::string, std::uint32_t> syms = {
-        {"start", 0x1000}, {"end", 0x1040}};
-    EXPECT_EQ(e.eval(syms, 0), 0x44);
-    EXPECT_TRUE(e.resolvable(syms));
-    EXPECT_FALSE(e.resolvable({}));
+    ASSERT_EQ(e.terms.size(), 3u);
+    EXPECT_EQ(e.terms[0].symbol, "end");
+    EXPECT_EQ(e.terms[1].symbol, "start");
+    EXPECT_EQ(e.terms[1].sign, -1);
+    EXPECT_EQ(e.terms[2].number, 4);
+    EXPECT_EQ(equValue("start: halt\n.space 0x3c\nend: halt\n",
+                       "end - start + 4"),
+              0x44u);
 }
 
 TEST(Expr, DotIsCurrentAddress)
 {
     TokenCursor cur(". + 8\n");
-    const Expr e = cur.parseExpr();
-    EXPECT_EQ(e.eval({}, 0x2000), 0x2008);
+    EXPECT_TRUE(cur.parseExpr().terms[0].isDot);
+    // The .equ statement sits after the 4-byte halt at 0x2000.
+    EXPECT_EQ(equValue(".org 0x2000\nstart: halt\n", ". + 8"), 0x200cu);
 }
 
 TEST(Expr, LeadingAndDoubleMinus)
 {
     TokenCursor cur("-5\n");
-    EXPECT_EQ(cur.parseExpr().eval({}, 0), -5);
+    EXPECT_EQ(cur.parseExpr().terms[0].sign, -1);
     TokenCursor cur2("--5\n");
-    EXPECT_EQ(cur2.parseExpr().eval({}, 0), 5);
-    TokenCursor cur3("10 - -3\n");
-    EXPECT_EQ(cur3.parseExpr().eval({}, 0), 13);
+    EXPECT_EQ(cur2.parseExpr().terms[0].sign, 1);
+    EXPECT_EQ(equValue("start: halt\n", "-5"), 0xfffffffbu);
+    EXPECT_EQ(equValue("start: halt\n", "--5"), 5u);
+    EXPECT_EQ(equValue("start: halt\n", "10 - -3"), 13u);
 }
 
 TEST(Expr, UndefinedSymbolThrows)
 {
-    TokenCursor cur("mystery\n");
-    const Expr e = cur.parseExpr();
-    EXPECT_THROW(e.eval({}, 0), FatalError);
+    try {
+        assembleRisc("start: halt\n.word mystery\n");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "line 2: undefined symbol 'mystery'");
+    }
 }
 
 TEST(Expr, BareSymbolDetection)
