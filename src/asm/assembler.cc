@@ -390,7 +390,8 @@ class RiscAssembler final : public AsmCore
                 err(stmt, "branch target must be an expression");
             const std::int64_t target = evalExpr(stmt, ops[0].expr);
             out.push_back(Instruction::jmpr(
-                mn.cond, checkImm19(stmt, target - stmt.address)));
+                mn.cond,
+                checkImm19(stmt, displacement(stmt, target, stmt.address))));
             return out;
           }
           case Form::Unknown:
@@ -434,7 +435,8 @@ class RiscAssembler final : public AsmCore
             if (ops[1].kind != OperandKind::Expr)
                 err(stmt, "jmpr target must be an expression");
             const std::int64_t target = evalExpr(stmt, ops[1].expr);
-            inst.imm19 = checkImm19(stmt, target - stmt.address);
+            inst.imm19 = checkImm19(
+                stmt, displacement(stmt, target, stmt.address));
             break;
           }
           case Opcode::Call:
@@ -443,7 +445,8 @@ class RiscAssembler final : public AsmCore
                 inst.op = Opcode::Callr;
                 inst.rd = 31;
                 const std::int64_t target = evalExpr(stmt, ops[0].expr);
-                inst.imm19 = checkImm19(stmt, target - stmt.address);
+                inst.imm19 = checkImm19(
+                    stmt, displacement(stmt, target, stmt.address));
                 break;
             }
             inst.rd = static_cast<std::uint8_t>(wantReg(stmt, 0));
@@ -455,7 +458,8 @@ class RiscAssembler final : public AsmCore
             if (ops[1].kind != OperandKind::Expr)
                 err(stmt, "callr target must be an expression");
             const std::int64_t target = evalExpr(stmt, ops[1].expr);
-            inst.imm19 = checkImm19(stmt, target - stmt.address);
+            inst.imm19 = checkImm19(
+                stmt, displacement(stmt, target, stmt.address));
             break;
           }
           case Opcode::Ret:

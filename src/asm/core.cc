@@ -53,6 +53,17 @@ AsmCore::err(const Stmt &stmt, const std::string &msg)
     fatal(cat("line ", stmt.line, ": ", msg));
 }
 
+std::int64_t
+AsmCore::displacement(const Stmt &stmt, std::int64_t target,
+                      std::uint32_t from)
+{
+    // from >= 0, so only a target near the bottom of the range can
+    // take the difference below it.
+    if (target < std::numeric_limits<std::int64_t>::min() + from)
+        err(stmt, cat("branch target ", target, " is out of range"));
+    return target - from;
+}
+
 /**
  * The first term of @p expr that names an undefined symbol; nullptr,
  * with @p value the sum at @p stmt's address, when there is none.

@@ -164,6 +164,14 @@ class AsmCore
     /** Raise "line N: msg" for @p stmt. */
     [[noreturn]] static void err(const Stmt &stmt, const std::string &msg);
 
+    /**
+     * The displacement `target - from` of @p stmt's PC-relative
+     * operand, computed without overflow; a target too far below
+     * @p from for any 64-bit displacement is an error.
+     */
+    static std::int64_t displacement(const Stmt &stmt, std::int64_t target,
+                                     std::uint32_t from);
+
     /** @p stmt's operands; valid once parsing is done. */
     std::span<const Operand>
     operands(const Stmt &stmt) const

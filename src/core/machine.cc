@@ -45,20 +45,8 @@ Machine::Machine(const MachineConfig &config)
         config_.softAreaTop % 4 != 0 ||
         config_.softAreaTop > config_.memorySize)
         fatal("save areas must be word-aligned and inside memory");
-    if (const mem::HierarchyConfig h = config_.effectiveHierarchy();
-        h.any())
-        hier_.emplace(h);
-}
-
-mem::HierarchyConfig
-MachineConfig::effectiveHierarchy() const
-{
-    mem::HierarchyConfig h = caches;
-    if (!h.l1i && icache)
-        h.l1i = *icache;
-    if (!h.l1d && dcache)
-        h.l1d = *dcache;
-    return h;
+    if (config_.caches.any())
+        hier_.emplace(config_.caches);
 }
 
 void
@@ -95,13 +83,6 @@ Machine::reset(std::uint32_t entry)
         (regs_.cwp() + resident_) % config_.windows.numWindows);
 }
 
-std::uint32_t
-Machine::readS2(const Instruction &inst)
-{
-    return inst.imm ? static_cast<std::uint32_t>(inst.simm13)
-                    : regs_.read(inst.rs2);
-}
-
 namespace {
 
 /** Value + condition codes one ALU operation produces. */
@@ -112,9 +93,8 @@ struct AluOut
 };
 
 /**
- * The single source of truth for ALU semantics, shared between the
- * reference interpreter's runtime switch (executeAlu) and the fast
- * path's per-opcode handlers, which instantiate it at compile time.
+ * The single source of truth for ALU semantics, instantiated at compile
+ * time by the per-opcode ALU handlers (FastOps::alu).
  */
 template <Opcode OP>
 inline AluOut
@@ -175,59 +155,6 @@ aluCore(const Instruction &inst, std::uint32_t a, std::uint32_t b,
 }
 
 } // namespace
-
-Machine::AluResult
-Machine::executeAlu(const Instruction &inst, std::uint32_t a,
-                    std::uint32_t b) const
-{
-    const std::uint64_t cin = psw_.cc.c ? 1 : 0;
-    AluOut out;
-    switch (inst.op) {
-      case Opcode::Add:
-        out = aluCore<Opcode::Add>(inst, a, b, cin);
-        break;
-      case Opcode::Addc:
-        out = aluCore<Opcode::Addc>(inst, a, b, cin);
-        break;
-      case Opcode::Sub:
-        out = aluCore<Opcode::Sub>(inst, a, b, cin);
-        break;
-      case Opcode::Subc:
-        out = aluCore<Opcode::Subc>(inst, a, b, cin);
-        break;
-      case Opcode::Subr:
-        out = aluCore<Opcode::Subr>(inst, a, b, cin);
-        break;
-      case Opcode::Subcr:
-        out = aluCore<Opcode::Subcr>(inst, a, b, cin);
-        break;
-      case Opcode::And:
-        out = aluCore<Opcode::And>(inst, a, b, cin);
-        break;
-      case Opcode::Or:
-        out = aluCore<Opcode::Or>(inst, a, b, cin);
-        break;
-      case Opcode::Xor:
-        out = aluCore<Opcode::Xor>(inst, a, b, cin);
-        break;
-      case Opcode::Sll:
-        out = aluCore<Opcode::Sll>(inst, a, b, cin);
-        break;
-      case Opcode::Srl:
-        out = aluCore<Opcode::Srl>(inst, a, b, cin);
-        break;
-      case Opcode::Sra:
-        out = aluCore<Opcode::Sra>(inst, a, b, cin);
-        break;
-      case Opcode::Ldhi:
-        out = aluCore<Opcode::Ldhi>(inst, a, b, cin);
-        break;
-      default:
-        panic(cat("executeAlu called for non-ALU opcode ",
-                  static_cast<int>(inst.op)));
-    }
-    return AluResult{out.value, out.cc};
-}
 
 void
 Machine::transferTo(std::uint32_t target, bool haltOnSelf)
@@ -384,8 +311,7 @@ namespace {
 
 /**
  * Register-operand traffic one instruction contributes to the
- * operand-locality counters; shared by the reference interpreter
- * (countOperandRegs) and the predecoder, which caches the result.
+ * operand-locality counters; the decoder stores it in the record.
  */
 void
 operandCounts(const Instruction &inst, const OpcodeInfo *info,
@@ -432,145 +358,6 @@ operandCounts(const Instruction &inst, const OpcodeInfo *info,
 } // namespace
 
 void
-Machine::countOperandRegs(const Instruction &inst)
-{
-    const OpcodeInfo *info = opcodeInfo(inst.op);
-    unsigned reads = 0, writes = 0;
-    operandCounts(inst, info, reads, writes);
-    stats_.regOperandReads += reads;
-    stats_.regOperandWrites += writes;
-}
-
-void
-Machine::execute(const Instruction &inst)
-{
-    const Timing &t = config_.timing;
-
-    switch (opcodeInfo(inst.op)->cls) {
-      case InstClass::Alu: {
-        const std::uint32_t a = regs_.read(inst.rs1);
-        const std::uint32_t b = readS2(inst);
-        const AluResult res = executeAlu(inst, a, b);
-        regs_.write(inst.rd, res.value);
-        if (inst.scc)
-            psw_.cc = res.cc;
-        stats_.cycles += t.aluCycles;
-        break;
-      }
-      case InstClass::Load: {
-        const std::uint32_t addr = regs_.read(inst.rs1) + readS2(inst);
-        if (hier_)
-            stats_.cycles += hier_->data(addr, false);
-        std::uint32_t value = 0;
-        switch (inst.op) {
-          case Opcode::Ldl:
-            value = mem_.readWord(addr);
-            break;
-          case Opcode::Ldsu:
-            value = mem_.readHalf(addr);
-            break;
-          case Opcode::Ldss:
-            value = static_cast<std::uint32_t>(
-                sext(mem_.readHalf(addr), 16));
-            break;
-          case Opcode::Ldbu:
-            value = mem_.readByte(addr);
-            break;
-          case Opcode::Ldbs:
-            value = static_cast<std::uint32_t>(
-                sext(mem_.readByte(addr), 8));
-            break;
-          default:
-            panic("bad load opcode");
-        }
-        regs_.write(inst.rd, value);
-        ++stats_.loadCount;
-        stats_.cycles += t.loadCycles;
-        break;
-      }
-      case InstClass::Store: {
-        const std::uint32_t addr = regs_.read(inst.rs1) + readS2(inst);
-        if (hier_)
-            stats_.cycles += hier_->data(addr, true);
-        const std::uint32_t data = regs_.read(inst.rd);
-        switch (inst.op) {
-          case Opcode::Stl:
-            mem_.writeWord(addr, data);
-            break;
-          case Opcode::Sts:
-            mem_.writeHalf(addr, static_cast<std::uint16_t>(data));
-            break;
-          case Opcode::Stb:
-            mem_.writeByte(addr, static_cast<std::uint8_t>(data));
-            break;
-          default:
-            panic("bad store opcode");
-        }
-        ++stats_.storeCount;
-        stats_.cycles += t.storeCycles;
-        break;
-      }
-      case InstClass::Jump: {
-        const std::uint32_t target =
-            inst.op == Opcode::Jmpr
-                ? pc_ + static_cast<std::uint32_t>(inst.imm19)
-                : regs_.read(inst.rs1) + readS2(inst);
-        if (condHolds(inst.cond(), psw_.cc))
-            transferTo(target, true);
-        else
-            ++stats_.untakenJumps;
-        stats_.cycles += t.jumpCycles;
-        break;
-      }
-      case InstClass::CallRet: {
-        switch (inst.op) {
-          case Opcode::Call:
-            doCall(regs_.read(inst.rs1) + readS2(inst), inst.rd, false);
-            stats_.cycles += t.callCycles;
-            break;
-          case Opcode::Callr:
-            doCall(pc_ + static_cast<std::uint32_t>(inst.imm19), inst.rd,
-                   false);
-            stats_.cycles += t.callCycles;
-            break;
-          case Opcode::Calli:
-            doCall(0, inst.rd, true);
-            stats_.cycles += t.callCycles;
-            break;
-          case Opcode::Ret:
-            doReturn(regs_.read(inst.rs1) + readS2(inst), false);
-            stats_.cycles += t.retCycles;
-            break;
-          case Opcode::Reti:
-            doReturn(regs_.read(inst.rs1) + readS2(inst), true);
-            stats_.cycles += t.retCycles;
-            break;
-          default:
-            panic("bad call/ret opcode");
-        }
-        break;
-      }
-      case InstClass::Special: {
-        switch (inst.op) {
-          case Opcode::Gtlpc:
-            regs_.write(inst.rd, lastPc_);
-            break;
-          case Opcode::Getpsw:
-            regs_.write(inst.rd, psw_.pack());
-            break;
-          case Opcode::Putpsw:
-            psw_.unpackUserBits(regs_.read(inst.rs1));
-            break;
-          default:
-            panic("bad special opcode");
-        }
-        stats_.cycles += t.specialCycles;
-        break;
-      }
-    }
-}
-
-void
 Machine::raiseInterrupt(std::uint32_t vector)
 {
     interruptPending_ = true;
@@ -614,66 +401,11 @@ Machine::maybeAcceptInterrupt()
     }
 }
 
-bool
-Machine::step()
-{
-    if (halted_)
-        return false;
-
-    if (interruptPending_)
-        maybeAcceptInterrupt();
-
-    if (hier_)
-        stats_.cycles += hier_->fetch(pc_);
-
-    const std::uint32_t word = mem_.fetchWord(pc_);
-    const Instruction inst = Instruction::decode(word);
-
-    // Recorded before execution, so a faulting instruction is the last
-    // event in the ring when its fault unwinds (postmortem.hh).
-    if (trace_)
-        trace_->record({obs::EventKind::Instruction, stats_.instructions,
-                        stats_.cycles, pc_, disassemble(inst)});
-
-    ++stats_.instructions;
-    ++stats_.perOpcode[static_cast<std::uint8_t>(inst.op)];
-    const OpcodeInfo *info = opcodeInfo(inst.op);
-    ++stats_.perClass[static_cast<std::size_t>(info->cls)];
-
-    if (inDelaySlot_) {
-        ++stats_.delaySlotsExecuted;
-        if (isNop(inst))
-            ++stats_.delaySlotNops;
-    }
-
-    countOperandRegs(inst);
-
-    hasNpcOverride_ = false;
-    execute(inst);
-
-    const std::uint32_t thisPc = pc_;
-    lastPc_ = thisPc;
-    if (halted_)
-        return false;
-
-    pc_ = npc_;
-    npc_ = hasNpcOverride_ ? npcOverride_ : npc_ + 4;
-
-    // Every transfer instruction is followed by one architectural
-    // delay slot (CALLI does not transfer and has none).
-    inDelaySlot_ = (info->cls == InstClass::Jump ||
-                    info->cls == InstClass::CallRet) &&
-                   inst.op != Opcode::Calli;
-    return true;
-}
-
 /**
- * Fast-path opcode handlers: one monomorphic function per opcode,
- * resolved once at predecode time and dispatched through a function
- * pointer.  Each handler mirrors the corresponding execute() case
- * exactly — same access order, same counters, same fault points — so
- * the two paths stay bit-for-bit equivalent (tests/test_fast_path.cc
- * and tests/test_fuzz_exec.cc enforce this).
+ * Opcode handlers: one monomorphic function per opcode, resolved once
+ * at decode time and dispatched through a function pointer.  They are
+ * the only statement of RISC I semantics; step() and runFast() both
+ * reach them through issue().
  */
 struct FastOps
 {
@@ -849,6 +581,8 @@ Machine::predecodeWord(std::uint32_t word)
     d.inst = Instruction::decode(word); // throws the decoder's fault
     d.info = opcodeInfo(d.inst.op);
     d.nop = isNop(d.inst);
+    // Every transfer instruction is followed by one architectural
+    // delay slot (CALLI does not transfer and has none).
     d.hasDelaySlot = (d.info->cls == InstClass::Jump ||
                       d.info->cls == InstClass::CallRet) &&
                      d.inst.op != Opcode::Calli;
@@ -860,23 +594,68 @@ Machine::predecodeWord(std::uint32_t word)
     return d;
 }
 
+[[gnu::cold, gnu::noinline]] void
+Machine::traceInstruction(const DecodedInst &d)
+{
+    trace_->record({obs::EventKind::Instruction, stats_.instructions,
+                    stats_.cycles, pc_, disassemble(d.inst)});
+}
+
+[[gnu::always_inline]] inline void
+Machine::issue(const DecodedInst &d)
+{
+    const std::uint32_t pc = pc_;
+
+    // Recorded before execution, so a faulting instruction is the last
+    // event in the ring when its fault unwinds (postmortem.hh).
+    if (trace_) [[unlikely]]
+        traceInstruction(d);
+
+    ++stats_.instructions;
+    ++stats_.perOpcode[static_cast<std::uint8_t>(d.inst.op)];
+    ++stats_.perClass[static_cast<std::size_t>(d.info->cls)];
+
+    if (inDelaySlot_) {
+        ++stats_.delaySlotsExecuted;
+        if (d.nop)
+            ++stats_.delaySlotNops;
+    }
+
+    stats_.regOperandReads += d.regReads;
+    stats_.regOperandWrites += d.regWrites;
+
+    hasNpcOverride_ = false;
+    d.exec(*this, d);
+
+    lastPc_ = pc;
+    if (halted_)
+        return;
+
+    pc_ = npc_;
+    npc_ = hasNpcOverride_ ? npcOverride_ : npc_ + 4;
+    inDelaySlot_ = d.hasDelaySlot;
+}
+
+bool
+Machine::step()
+{
+    if (halted_)
+        return false;
+
+    if (interruptPending_)
+        maybeAcceptInterrupt();
+
+    if (hier_)
+        stats_.cycles += hier_->fetch(pc_);
+
+    issue(predecodeWord(mem_.fetchWord(pc_)));
+    return !halted_;
+}
+
 RunOutcome
 Machine::runFast(std::uint64_t maxSteps)
 {
     RunOutcome outcome;
-
-    // A tracer must observe every instruction in decode order; fall
-    // back to the reference interpreter so trace semantics (and
-    // everything else) are unchanged.
-    if (trace_) {
-        while (!halted_ && outcome.steps < maxSteps) {
-            step();
-            ++outcome.steps;
-        }
-        outcome.halted = halted_;
-        return outcome;
-    }
-
     predecode_.sync(mem_);
 
     while (!halted_ && outcome.steps < maxSteps) {
@@ -887,9 +666,9 @@ Machine::runFast(std::uint64_t maxSteps)
         if (hier_)
             stats_.cycles += hier_->fetch(pc);
 
-        // A misaligned or out-of-range PC raises the reference
-        // interpreter's exact fetch fault (fetchWord throws before it
-        // counts, so the statistics stay aligned too).
+        // A misaligned or out-of-range PC raises step()'s exact fetch
+        // fault (fetchWord throws before it counts, so the statistics
+        // stay aligned too).
         if ((pc & 3u) != 0 ||
             static_cast<std::uint64_t>(pc) + 4 > mem_.size())
             (void)mem_.fetchWord(pc);
@@ -905,39 +684,15 @@ Machine::runFast(std::uint64_t maxSteps)
             // The lines were written (data and code often share
             // pages) or the slot was never filled: re-fetch and
             // revalidate.  An unchanged word keeps its decode; only a
-            // genuinely new word pays for a fresh predecode.
+            // genuinely new word pays for a fresh decode.
             const std::uint32_t word = mem_.fetchWord(pc);
             if (e.empty() || e.payload.word != word)
                 e.payload.d = predecodeWord(word);
             e.payload.word = word;
             PredecodeCache::revalidate(e, mem_, pc, 4);
         }
-        const DecodedInst &d = e.payload.d;
-
-        ++stats_.instructions;
-        ++stats_.perOpcode[static_cast<std::uint8_t>(d.inst.op)];
-        ++stats_.perClass[static_cast<std::size_t>(d.info->cls)];
-
-        if (inDelaySlot_) {
-            ++stats_.delaySlotsExecuted;
-            if (d.nop)
-                ++stats_.delaySlotNops;
-        }
-
-        stats_.regOperandReads += d.regReads;
-        stats_.regOperandWrites += d.regWrites;
-
-        hasNpcOverride_ = false;
-        d.exec(*this, d);
-
-        lastPc_ = pc;
+        issue(e.payload.d);
         ++outcome.steps;
-        if (halted_)
-            break;
-
-        pc_ = npc_;
-        npc_ = hasNpcOverride_ ? npcOverride_ : npc_ + 4;
-        inDelaySlot_ = d.hasDelaySlot;
     }
     outcome.halted = halted_;
     return outcome;

@@ -30,10 +30,8 @@
 #define RISC1_CORE_MACHINE_HH
 
 #include <cstdint>
-#include <memory>
-#include <vector>
-
 #include <optional>
+#include <vector>
 
 #include "common/program.hh"
 #include "core/outcome.hh"
@@ -41,7 +39,6 @@
 #include "core/stats.hh"
 #include "isa/instruction.hh"
 #include "mem/hierarchy.hh"
-#include "memory/cache.hh"
 #include "memory/memory.hh"
 #include "target/decode_cache.hh"
 
@@ -81,26 +78,13 @@ struct MachineConfig
     /** Words saved and restored per call in the ablation. */
     unsigned softFrameWords = 8;
     /**
-     * Legacy flat instruction-cache config: shorthand for mem.l1i
-     * (the RISC II-era extension).  When both are set, mem.l1i wins.
-     * Disabled by default — RISC I had no cache.
-     */
-    std::optional<CacheConfig> icache;
-    /**
-     * Legacy flat data-cache config: shorthand for mem.l1d, consulted
-     * on program loads/stores (window spill/fill traffic bypasses the
-     * hierarchy, as trap microcode would).  Disabled by default.
-     */
-    std::optional<CacheConfig> dcache;
-    /**
      * Memory-hierarchy configuration (mem/hierarchy.hh): split L1s
-     * over an optional unified L2.  The legacy icache/dcache fields
-     * above fold into the l1i/l1d slots at construction.
+     * over an optional unified L2 (the RISC II-era extension).  The
+     * L1I is consulted once per instruction, the L1D on program loads
+     * and stores; window spill/fill traffic bypasses the hierarchy, as
+     * trap microcode would.  Disabled by default — RISC I had no cache.
      */
     mem::HierarchyConfig caches;
-
-    /** Effective hierarchy config after folding the legacy fields. */
-    mem::HierarchyConfig effectiveHierarchy() const;
 };
 
 /** Packed PSW layout used by GETPSW/PUTPSW. */
@@ -182,19 +166,21 @@ struct MachineSnapshot
 class Machine;
 
 /**
- * One predecoded instruction: the fast path's cache entry.  Everything
- * step() derives per iteration — decoded fields, opcode metadata, the
- * operand-counter contributions, delay-slot classification, and the
- * resolved execution handler — is computed once at decode time.
+ * One decoded instruction: the record step() decodes every fetched
+ * word into and the fast path's decode cache stores.  Decoded fields,
+ * opcode metadata, the operand-counter contributions, delay-slot
+ * classification, and the resolved execution handler are all computed
+ * at decode time, so both tiers execute the same record through the
+ * same code.
  */
 struct DecodedInst
 {
     Instruction inst;
     const OpcodeInfo *info = nullptr;
-    /** Resolved handler; nullptr marks an empty cache slot. */
+    /** Resolved handler: the opcode's only statement of semantics. */
     void (*exec)(Machine &, const DecodedInst &) = nullptr;
-    std::uint8_t regReads = 0;   ///< countOperandRegs read contribution
-    std::uint8_t regWrites = 0;  ///< countOperandRegs write contribution
+    std::uint8_t regReads = 0;   ///< register operands read
+    std::uint8_t regWrites = 0;  ///< register operands written
     bool nop = false;            ///< isNop(inst)
     bool hasDelaySlot = false;   ///< transfer with architectural slot
 };
@@ -229,15 +215,13 @@ class Machine
      * fast path and report how far it got (no runaway throw — callers
      * that need a budget, like the batch engine, check `halted`).
      *
-     * Architecturally bit-for-bit equivalent to calling step() in a
-     * loop: registers, PSW, memory, all RunStats/MemoryStats/cache
-     * counters, interrupt acceptance, and delay-slot behavior are
-     * identical, including across self-modifying code and snapshot
-     * restore (the decode cache keys on Memory's per-line write
-     * generations, so any content change invalidates it).  When a
-     * tracer is installed (setTrace) the engine falls back to step()
-     * so the trace observes every instruction; see docs/SIM.md and
-     * docs/OBSERVABILITY.md.
+     * step() is this loop without the decode cache: both decode into
+     * the same DecodedInst and execute it through the same
+     * per-instruction routine, so registers, PSW, memory, every
+     * RunStats/MemoryStats/cache counter, interrupt acceptance,
+     * delay-slot behavior and trace events are identical.  The cache
+     * keys on Memory's per-line write generations, so self-modifying
+     * code and snapshot restore invalidate it; see docs/SIM.md.
      */
     RunOutcome runFast(std::uint64_t maxSteps = 200'000'000);
 
@@ -264,10 +248,10 @@ class Machine
     /**
      * Install (or clear, with nullptr) an execution tracer.  While
      * installed, every executed instruction, window trap, and accepted
-     * interrupt is recorded into @p trace (obs/trace.hh); runFast()
-     * falls back to the reference interpreter so the trace observes
-     * every instruction in decode order.  Non-owning — the Trace must
-     * outlive the registration.  No cost when none is installed.
+     * interrupt is recorded into @p trace (obs/trace.hh), from step()
+     * and runFast() alike.  Non-owning — the Trace must outlive the
+     * registration.  One predictable branch per instruction when none
+     * is installed.
      */
     void setTrace(obs::Trace *trace) { trace_ = trace; }
     obs::Trace *trace() const { return trace_; }
@@ -293,18 +277,6 @@ class Machine
         return hier_ ? hier_->stats() : mem::HierarchyStats{};
     }
 
-    /** L1I statistics (zeroes when no instruction cache is fitted). */
-    CacheStats icacheStats() const
-    {
-        return memHierarchyStats().l1i.value_or(CacheStats{});
-    }
-
-    /** L1D statistics (zeroes when no data cache is fitted). */
-    CacheStats dcacheStats() const
-    {
-        return memHierarchyStats().l1d.value_or(CacheStats{});
-    }
-
     /**
      * Capture the complete machine state (registers, PSW, window
      * bookkeeping, pending interrupt, statistics, dirty memory pages,
@@ -324,13 +296,7 @@ class Machine
     void restore(const MachineSnapshot &snap);
 
   private:
-    friend struct FastOps;   ///< fast-path opcode handlers (machine.cc)
-
-    struct AluResult
-    {
-        std::uint32_t value;
-        CondCodes cc;
-    };
+    friend struct FastOps;   ///< per-opcode handlers (machine.cc)
 
     /** Decode-cache payload: one word-aligned code address. */
     struct PredecodePayload
@@ -347,19 +313,19 @@ class Machine
      *  for the shared generation-validation machinery). */
     using PredecodeCache = target::DecodeCache<PredecodePayload, 2>;
 
-    AluResult executeAlu(const Instruction &inst, std::uint32_t a,
-                         std::uint32_t b) const;
-    std::uint32_t readS2(const Instruction &inst);
-    void execute(const Instruction &inst);
     void doCall(std::uint32_t target, unsigned rd, bool isInterrupt);
     void doReturn(std::uint32_t target, bool isInterrupt);
     void spillOldestFrame();
     void fillCurrentFrame();
     void transferTo(std::uint32_t target, bool haltOnSelf = false);
-    void countOperandRegs(const Instruction &inst);
     void maybeAcceptInterrupt();
-    /** Build a cache entry from a fetched instruction word. */
+    /** Decode a fetched instruction word (throws the decoder's fault). */
     static DecodedInst predecodeWord(std::uint32_t word);
+    /** Execute @p d at pc_: trace, statistics, semantics, pc advance —
+     *  the one per-instruction routine step() and runFast() share. */
+    void issue(const DecodedInst &d);
+    /** Record @p d's trace event (cold: only runs with a tracer). */
+    void traceInstruction(const DecodedInst &d);
 
     MachineConfig config_;
     Memory mem_;

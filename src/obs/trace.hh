@@ -13,12 +13,11 @@
  * (see postmortem.hh).
  *
  * Cost model: tracing is always compiled in, but a machine with no
- * Trace installed pays exactly one pointer test per step on the
- * reference interpreter and a single test per run on the fast path —
- * perfbench's `dispatch.fast_ns_per_instr.*` rows track its cost.
- * With a Trace installed the fast path falls back to the reference
- * interpreter so the trace observes every instruction in decode order
- * (see docs/OBSERVABILITY.md).
+ * Trace installed pays one predictable pointer test per instruction
+ * on either tier — perfbench's `dispatch.fast_ns_per_instr.*` rows
+ * track its cost.  With a Trace installed both tiers record from
+ * the same per-instruction routine through a cold helper, so a traced
+ * fast-path run stays on the decode cache (see docs/OBSERVABILITY.md).
  *
  * Sinks are non-owning: the caller keeps the sink (and any stream it
  * writes to) alive for the lifetime of the Trace registration.

@@ -51,11 +51,12 @@ struct SimJob
     std::uint64_t maxSteps = 200'000'000;
 
     /**
-     * Execute through the backend's predecoded fast path instead of
-     * the per-step reference interpreter.  On by default — the two
-     * paths are bit-for-bit equivalent (tests/test_fast_path.cc,
-     * tests/test_vax_fast_path.cc) — but sweep authors can clear it to
-     * cross-check a suspicious run on the reference interpreter.
+     * Execute through the backend's decode cache instead of calling
+     * step() per instruction.  On by default — both tiers run the same
+     * decoder and semantics, so they are bit-for-bit equivalent
+     * (tests/test_fast_path.cc, tests/test_vax_fast_path.cc) — but
+     * sweep authors can clear it to cross-check a suspicious run
+     * without the cache.
      */
     bool fast = true;
 

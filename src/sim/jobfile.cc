@@ -114,10 +114,6 @@ materialize(const RawJob &raw, std::size_t jobIndex,
                 parseUint(value, line, key));
         } else if (key == "windowed") {
             job.config.risc.windowedCalls = parseBool(value, line, key);
-        } else if (key == "icache") {
-            job.config.risc.icache = parseCache(value, line, key);
-        } else if (key == "dcache") {
-            job.config.risc.dcache = parseCache(value, line, key);
         } else if (key == "l1i" || key == "l1d" || key == "l2") {
             // Hierarchy levels apply to whichever backend runs the
             // job: both configs carry the same mem::HierarchyConfig.
@@ -140,7 +136,7 @@ materialize(const RawJob &raw, std::size_t jobIndex,
         } else {
             fatal(cat("job file line ", line, ": unknown key '", key,
                       "' (valid: machine, id, workload, file, windows, "
-                      "windowed, icache, dcache, l1i, l1d, l2, "
+                      "windowed, l1i, l1d, l2, "
                       "maxsteps, fast, expect)"));
         }
     }

@@ -15,8 +15,6 @@
  *     l1i      = 1024,16,4       # size,line,missPenalty[,wt|wb]
  *     l1d      = 4096,16,4       #   (either backend; docs/MEMORY.md)
  *     l2       = 65536,32,20,wb  # unified L2 behind both L1s
- *     icache   = 1024,16,4       # legacy alias for l1i (RISC only)
- *     dcache   = 4096,16,4       # legacy alias for l1d (RISC only)
  *     maxsteps = 1000000
  *     expect   = 5050            # expected checksum override
  */

@@ -174,11 +174,11 @@ class Target
 
     /**
      * Run until halt or @p maxSteps instructions, through the
-     * backend's predecoded fast path when @p fast is set and through
-     * the per-step reference interpreter otherwise (the two are
-     * bit-for-bit equivalent; the slow path exists as a cross-check).
-     * Never throws on exhausting the budget — callers inspect
-     * RunOutcome::halted.
+     * backend's decode cache when @p fast is set and through step()
+     * otherwise.  The two share every other line of the execution
+     * path, so they are bit-for-bit equivalent; the cache-free run
+     * exists as a cross-check of the cache.  Never throws on
+     * exhausting the budget — callers inspect RunOutcome::halted.
      */
     virtual RunOutcome run(std::uint64_t maxSteps, bool fast) = 0;
 
@@ -187,10 +187,10 @@ class Target
     /**
      * Install (or clear, with nullptr) an execution tracer
      * (obs/trace.hh): every executed instruction — plus backend
-     * events like window traps — is recorded into @p trace, and
-     * run(fast=true) falls back to the reference interpreter so the
-     * trace observes every instruction.  Non-owning; the Trace must
-     * outlive the registration.  Zero overhead when none is installed.
+     * events like window traps — is recorded into @p trace, on either
+     * tier of run() alike.  Non-owning; the Trace must outlive the
+     * registration.  One predictable branch per instruction when none
+     * is installed.
      */
     virtual void setTrace(obs::Trace *trace) = 0;
 

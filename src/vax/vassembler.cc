@@ -286,7 +286,8 @@ class VaxAssembler final : public AsmCore
             break;
           case VEnc::Branch8: {
             const std::int64_t target = evalExpr(stmt, op.expr);
-            const std::int64_t disp = target - (specAddr + 1);
+            const std::int64_t disp =
+                displacement(stmt, target, specAddr + 1);
             if (!fitsSigned(disp, 8))
                 err(stmt, cat("branch displacement ", disp,
                               " exceeds byte range; restructure or use "
@@ -296,7 +297,8 @@ class VaxAssembler final : public AsmCore
           }
           case VEnc::Branch16: {
             const std::int64_t target = evalExpr(stmt, op.expr);
-            const std::int64_t disp = target - (specAddr + 2);
+            const std::int64_t disp =
+                displacement(stmt, target, specAddr + 2);
             if (!fitsSigned(disp, 16))
                 err(stmt, cat("branch displacement ", disp,
                               " exceeds word range"));

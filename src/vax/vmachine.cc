@@ -109,117 +109,6 @@ VaxMachine::fetchLong()
     return lo | (hi << 16);
 }
 
-VaxMachine::Ref
-VaxMachine::decodeSpecifier(Width width)
-{
-    const unsigned step =
-        width == Width::Byte ? 1 : width == Width::Half ? 2 : 4;
-    const std::uint8_t spec = fetchByte();
-    const auto modeNibble = static_cast<std::uint8_t>(spec >> 4);
-    const unsigned rn = spec & 0x0f;
-    Ref ref;
-
-    if (modeNibble <= 3) {
-        // Short literal 0..63.
-        ref.kind = Ref::Kind::Literal;
-        ref.value = spec & 0x3f;
-        return ref;
-    }
-
-    const auto mode = static_cast<VaxMode>(modeNibble);
-    stats_.cycles += vaxSpecCycles(mode);
-
-    switch (mode) {
-      case VaxMode::Register:
-        ref.kind = Ref::Kind::Reg;
-        ref.reg = rn;
-        return ref;
-      case VaxMode::Deferred:
-        ref.kind = Ref::Kind::Mem;
-        ref.reg = rn;
-        ref.addr = regs_[rn];
-        ++stats_.regOperandReads;
-        return ref;
-      case VaxMode::AutoDec:
-        regs_[rn] -= step;
-        ref.kind = Ref::Kind::Mem;
-        ref.addr = regs_[rn];
-        ++stats_.regOperandReads;
-        ++stats_.regOperandWrites;
-        return ref;
-      case VaxMode::AutoInc:
-        if (rn == vaxPc) {
-            // Immediate: a 4-byte literal in the instruction stream.
-            ref.kind = Ref::Kind::Literal;
-            ref.value = fetchLong();
-            return ref;
-        }
-        ref.kind = Ref::Kind::Mem;
-        ref.addr = regs_[rn];
-        regs_[rn] += step;
-        ++stats_.regOperandReads;
-        ++stats_.regOperandWrites;
-        return ref;
-      case VaxMode::AutoIncDef:
-        if (rn == vaxPc) {
-            // Absolute: 4-byte address in the instruction stream.
-            ref.kind = Ref::Kind::Mem;
-            ref.addr = fetchLong();
-            return ref;
-        }
-        fatal("autoincrement-deferred supported only as absolute (@)");
-      case VaxMode::DispByte: {
-        const auto disp = sext(fetchByte(), 8);
-        ref.kind = Ref::Kind::Mem;
-        ref.addr = regs_[rn] + static_cast<std::uint32_t>(disp);
-        ++stats_.regOperandReads;
-        return ref;
-      }
-      case VaxMode::DispWord: {
-        const auto disp = sext(fetchHalf(), 16);
-        ref.kind = Ref::Kind::Mem;
-        ref.addr = regs_[rn] + static_cast<std::uint32_t>(disp);
-        ++stats_.regOperandReads;
-        return ref;
-      }
-      case VaxMode::DispLong: {
-        const std::uint32_t disp = fetchLong();
-        ref.kind = Ref::Kind::Mem;
-        ref.addr = regs_[rn] + disp;
-        ++stats_.regOperandReads;
-        return ref;
-      }
-      default:
-        fatal(cat("illegal addressing mode nibble 0x", std::hex,
-                  static_cast<int>(modeNibble)));
-    }
-}
-
-VaxMachine::Ref
-VaxMachine::decodeOperand(VaxOpndUse use)
-{
-    if (use == VaxOpndUse::Branch8) {
-        Ref ref;
-        ref.kind = Ref::Kind::Branch;
-        const auto disp = sext(fetchByte(), 8);
-        ref.value = regs_[vaxPc] + static_cast<std::uint32_t>(disp);
-        return ref;
-    }
-    if (use == VaxOpndUse::Branch16) {
-        Ref ref;
-        ref.kind = Ref::Kind::Branch;
-        const auto disp = sext(fetchHalf(), 16);
-        ref.value = regs_[vaxPc] + static_cast<std::uint32_t>(disp);
-        return ref;
-    }
-    Width width = Width::Long;
-    if (use == VaxOpndUse::ReadByte || use == VaxOpndUse::WriteByte)
-        width = Width::Byte;
-    else if (use == VaxOpndUse::ReadHalf || use == VaxOpndUse::WriteHalf)
-        width = Width::Half;
-    return decodeSpecifier(width);
-}
-
 std::uint32_t
 VaxMachine::readRef(const Ref &ref, Width width)
 {
@@ -699,43 +588,193 @@ VaxMachine::execute(const VaxOpInfo &info, Ref *ops)
     }
 }
 
-bool
-VaxMachine::step()
+[[gnu::cold, gnu::noinline]] void
+VaxMachine::traceInstruction(const VaxOpInfo &info, std::uint32_t pc)
 {
-    if (halted_)
-        return false;
+    trace_->record({obs::EventKind::Instruction, stats_.instructions,
+                    stats_.cycles, pc, std::string(info.mnemonic)});
+}
 
+[[gnu::always_inline]] inline void
+VaxMachine::beginInstruction(const VaxOpInfo &info, std::uint32_t pc)
+{
+    // Recorded before execution, so a faulting instruction is the last
+    // event in the ring when its fault unwinds (obs/postmortem.hh).
+    if (trace_) [[unlikely]]
+        traceInstruction(info, pc);
+    ++stats_.instructions;
+    ++stats_.perClass[static_cast<std::size_t>(info.cls)];
+    stats_.cycles += info.baseCycles;
+}
+
+[[gnu::always_inline]] inline void
+VaxMachine::applySpec(const PredecodedSpec &spec, Ref &ref)
+{
+    switch (spec.kind) {
+      case PredecodedSpec::Kind::ShortLiteral:
+      case PredecodedSpec::Kind::Immediate:
+        ref.kind = Ref::Kind::Literal;
+        ref.value = spec.value;
+        break;
+      case PredecodedSpec::Kind::Register:
+        ref.kind = Ref::Kind::Reg;
+        ref.reg = spec.rn;
+        break;
+      case PredecodedSpec::Kind::Deferred:
+        ref.kind = Ref::Kind::Mem;
+        ref.reg = spec.rn;
+        ref.addr = regs_[spec.rn];
+        ++stats_.regOperandReads;
+        break;
+      case PredecodedSpec::Kind::AutoDec:
+        regs_[spec.rn] -= spec.step;
+        ref.kind = Ref::Kind::Mem;
+        ref.addr = regs_[spec.rn];
+        ++stats_.regOperandReads;
+        ++stats_.regOperandWrites;
+        break;
+      case PredecodedSpec::Kind::AutoInc:
+        ref.kind = Ref::Kind::Mem;
+        ref.addr = regs_[spec.rn];
+        regs_[spec.rn] += spec.step;
+        ++stats_.regOperandReads;
+        ++stats_.regOperandWrites;
+        break;
+      case PredecodedSpec::Kind::Absolute:
+        ref.kind = Ref::Kind::Mem;
+        ref.addr = spec.value;
+        break;
+      case PredecodedSpec::Kind::Disp:
+        ref.kind = Ref::Kind::Mem;
+        ref.addr = regs_[spec.rn] + spec.value;
+        ++stats_.regOperandReads;
+        break;
+      case PredecodedSpec::Kind::Branch:
+        ref.kind = Ref::Kind::Branch;
+        ref.value = spec.value;
+        break;
+    }
+}
+
+bool
+VaxMachine::decode(PredecodePayload &out, Ref *ops)
+{
+    using Kind = PredecodedSpec::Kind;
     const std::uint32_t ipc = regs_[vaxPc];
-
-    // One instruction-cache consultation per instruction, at its
-    // start address, before any fetch fault — the fast path mirrors
-    // this at the same point (and delegates here for refStep and
-    // out-of-range PCs), keeping the two paths lockstep-equivalent.
-    if (hier_)
-        stats_.cycles += hier_->fetch(ipc);
-
     const auto opByte = static_cast<VaxOpcode>(fetchByte());
     const VaxOpInfo *info = vaxOpcodeInfo(opByte);
     if (!info)
         fatal(cat("illegal opcode byte 0x", std::hex,
                   static_cast<int>(opByte), " at pc 0x",
                   regs_[vaxPc] - 1));
+    out.info = info;
+    beginInstruction(*info, ipc);
 
-    // Recorded before execution, so a faulting instruction is the last
-    // event in the ring when its fault unwinds (obs/postmortem.hh).
-    if (trace_)
-        trace_->record({obs::EventKind::Instruction, stats_.instructions,
-                        stats_.cycles, ipc, std::string(info->mnemonic)});
+    bool storable = true;
+    for (unsigned i = 0; i < info->numOperands; ++i) {
+        const VaxOpndUse use = info->operands[i];
+        PredecodedSpec &spec = out.specs[i];
+        spec = PredecodedSpec{};
 
-    ++stats_.instructions;
-    ++stats_.perClass[static_cast<std::size_t>(info->cls)];
-    stats_.cycles += info->baseCycles;
+        if (use == VaxOpndUse::Branch8 || use == VaxOpndUse::Branch16) {
+            const auto disp = use == VaxOpndUse::Branch8
+                                  ? sext(fetchByte(), 8)
+                                  : sext(fetchHalf(), 16);
+            spec.kind = Kind::Branch;
+            spec.value = regs_[vaxPc] + static_cast<std::uint32_t>(disp);
+            applySpec(spec, ops[i]);
+            continue;
+        }
 
+        const std::uint8_t specByte = fetchByte();
+        const auto modeNibble = static_cast<std::uint8_t>(specByte >> 4);
+        const auto rn = static_cast<std::uint8_t>(specByte & 0x0f);
+        if (modeNibble <= 3) {
+            // Short literal 0..63.
+            spec.kind = Kind::ShortLiteral;
+            spec.value = specByte & 0x3f;
+            applySpec(spec, ops[i]);
+            continue;
+        }
+
+        const auto mode = static_cast<VaxMode>(modeNibble);
+        spec.rn = rn;
+        spec.step = 4;
+        if (use == VaxOpndUse::ReadByte || use == VaxOpndUse::WriteByte)
+            spec.step = 1;
+        else if (use == VaxOpndUse::ReadHalf || use == VaxOpndUse::WriteHalf)
+            spec.step = 2;
+
+        switch (mode) {
+          case VaxMode::Register:
+            // Rn = PC reads the PC at execute time, past the whole
+            // instruction — a static quantity.
+            spec.kind = Kind::Register;
+            break;
+          case VaxMode::Deferred:
+            spec.kind = Kind::Deferred;
+            break;
+          case VaxMode::AutoDec:
+            spec.kind = Kind::AutoDec;
+            break;
+          case VaxMode::AutoInc:
+            // (PC)+ is an immediate: a 4-byte literal in the stream.
+            spec.kind = rn == vaxPc ? Kind::Immediate : Kind::AutoInc;
+            break;
+          case VaxMode::AutoIncDef:
+            // @(PC)+ is an absolute: a 4-byte address in the stream.
+            spec.kind = Kind::Absolute;
+            break;
+          case VaxMode::DispByte:
+          case VaxMode::DispWord:
+          case VaxMode::DispLong:
+            spec.kind = Kind::Disp;
+            break;
+          default:
+            fatal(cat("illegal addressing mode nibble 0x", std::hex,
+                      static_cast<int>(modeNibble)));
+        }
+        // Specifier cycles land before any extension byte is fetched,
+        // so a stream running off memory faults with them counted.
+        spec.specCycles = static_cast<std::uint8_t>(vaxSpecCycles(mode));
+        stats_.cycles += spec.specCycles;
+        if (spec.kind == Kind::Absolute && rn != vaxPc)
+            fatal("autoincrement-deferred supported only as absolute (@)");
+
+        if (spec.kind == Kind::Immediate || spec.kind == Kind::Absolute ||
+            mode == VaxMode::DispLong)
+            spec.value = fetchLong();
+        else if (mode == VaxMode::DispByte)
+            spec.value = static_cast<std::uint32_t>(sext(fetchByte(), 8));
+        else if (mode == VaxMode::DispWord)
+            spec.value = static_cast<std::uint32_t>(sext(fetchHalf(), 16));
+
+        // (PC), -(PC) and disp(PC) read the PC mid-stream.
+        if (rn == vaxPc &&
+            (spec.kind == Kind::Deferred || spec.kind == Kind::AutoDec ||
+             spec.kind == Kind::Disp))
+            storable = false;
+        applySpec(spec, ops[i]);
+    }
+    out.len = static_cast<std::uint8_t>(regs_[vaxPc] - ipc);
+    return storable;
+}
+
+bool
+VaxMachine::step()
+{
+    if (halted_)
+        return false;
+
+    // One instruction-cache consultation per instruction, at its
+    // start address, before any fetch fault.
+    if (hier_)
+        stats_.cycles += hier_->fetch(regs_[vaxPc]);
+
+    PredecodePayload inst;
     Ref ops[vaxMaxOperands];
-    for (unsigned i = 0; i < info->numOperands; ++i)
-        ops[i] = decodeOperand(info->operands[i]);
-
-    execute(*info, ops);
+    decode(inst, ops);
+    execute(*inst.info, ops);
     return !halted_;
 }
 
@@ -752,279 +791,63 @@ VaxMachine::run(std::uint64_t maxSteps)
                   " steps"));
 }
 
-void
-VaxMachine::predecodeAt(std::uint32_t addr, PredecodePayload &out) const
-{
-    out = PredecodePayload{};
-
-    // Walk the encoding with uncounted peeks, guarding every byte:
-    // anything the reference decoder would fault on — stream past
-    // memory end, illegal opcode, illegal mode — is left to step(),
-    // which raises the exact fault from the exact partial state.
-    std::uint32_t cur = addr;
-    const auto bail = [&out] { out.refStep = true; };
-    const auto canPeek = [&](unsigned n) {
-        return static_cast<std::uint64_t>(cur) + n <= mem_.size();
-    };
-    const auto peek = [&] { return mem_.peekByte(cur++); };
-    const auto peekLong = [&] {
-        const std::uint32_t lo = peek(), b1 = peek(), b2 = peek(),
-                            hi = peek();
-        return lo | (b1 << 8) | (b2 << 16) | (hi << 24);
-    };
-
-    if (!canPeek(1))
-        return bail();
-    const auto opByte = static_cast<VaxOpcode>(peek());
-    out.info = vaxOpcodeInfo(opByte);
-    if (!out.info)
-        return bail();
-
-    for (unsigned i = 0; i < out.info->numOperands; ++i) {
-        PredecodedSpec &spec = out.specs[i];
-        const VaxOpndUse use = out.info->operands[i];
-
-        if (use == VaxOpndUse::Branch8 || use == VaxOpndUse::Branch16) {
-            const unsigned n = use == VaxOpndUse::Branch8 ? 1 : 2;
-            if (!canPeek(n))
-                return bail();
-            std::uint32_t raw = peek();
-            if (n == 2)
-                raw |= static_cast<std::uint32_t>(peek()) << 8;
-            spec.kind = PredecodedSpec::Kind::Branch;
-            // The reference decoder resolves the target against the
-            // PC after the displacement bytes — a static quantity.
-            spec.value = cur + static_cast<std::uint32_t>(
-                                   sext(raw, n == 1 ? 8 : 16));
-            continue;
-        }
-
-        Width width = Width::Long;
-        if (use == VaxOpndUse::ReadByte || use == VaxOpndUse::WriteByte)
-            width = Width::Byte;
-        else if (use == VaxOpndUse::ReadHalf ||
-                 use == VaxOpndUse::WriteHalf)
-            width = Width::Half;
-        const unsigned step =
-            width == Width::Byte ? 1 : width == Width::Half ? 2 : 4;
-
-        if (!canPeek(1))
-            return bail();
-        const std::uint8_t specByte = peek();
-        const auto modeNibble = static_cast<std::uint8_t>(specByte >> 4);
-        const auto rn = static_cast<std::uint8_t>(specByte & 0x0f);
-
-        if (modeNibble <= 3) {
-            spec.kind = PredecodedSpec::Kind::ShortLiteral;
-            spec.value = specByte & 0x3f;
-            continue;
-        }
-
-        const auto mode = static_cast<VaxMode>(modeNibble);
-        spec.rn = rn;
-        spec.step = static_cast<std::uint8_t>(step);
-
-        switch (mode) {
-          case VaxMode::Register:
-            // Rn = PC is fine: the reference reads/writes the register
-            // file at execute time, after the PC has advanced past the
-            // whole instruction — which the replay also guarantees.
-            spec.kind = PredecodedSpec::Kind::Register;
-            break;
-          case VaxMode::Deferred:
-            if (rn == vaxPc)
-                return bail();  // EA depends on mid-stream PC
-            spec.kind = PredecodedSpec::Kind::Deferred;
-            break;
-          case VaxMode::AutoDec:
-            if (rn == vaxPc)
-                return bail();  // mutates the PC mid-stream
-            spec.kind = PredecodedSpec::Kind::AutoDec;
-            break;
-          case VaxMode::AutoInc:
-            if (rn == vaxPc) {
-                if (!canPeek(4))
-                    return bail();
-                spec.kind = PredecodedSpec::Kind::Immediate;
-                spec.value = peekLong();
-            } else {
-                spec.kind = PredecodedSpec::Kind::AutoInc;
-            }
-            break;
-          case VaxMode::AutoIncDef:
-            if (rn != vaxPc)
-                return bail();  // step() faults on @(Rn)+
-            if (!canPeek(4))
-                return bail();
-            spec.kind = PredecodedSpec::Kind::Absolute;
-            spec.value = peekLong();
-            break;
-          case VaxMode::DispByte:
-          case VaxMode::DispWord:
-          case VaxMode::DispLong: {
-            if (rn == vaxPc)
-                return bail();  // EA depends on mid-stream PC
-            const unsigned n = mode == VaxMode::DispByte ? 1
-                               : mode == VaxMode::DispWord ? 2
-                                                           : 4;
-            if (!canPeek(n))
-                return bail();
-            std::uint32_t raw = peek();
-            if (n >= 2)
-                raw |= static_cast<std::uint32_t>(peek()) << 8;
-            if (n == 4) {
-                raw |= static_cast<std::uint32_t>(peek()) << 16;
-                raw |= static_cast<std::uint32_t>(peek()) << 24;
-            }
-            spec.kind = PredecodedSpec::Kind::Disp;
-            spec.value = n == 4 ? raw
-                                : static_cast<std::uint32_t>(
-                                      sext(raw, n * 8));
-            break;
-          }
-          default:
-            return bail();  // illegal mode nibble: step() faults
-        }
-        spec.specCycles =
-            static_cast<std::uint8_t>(vaxSpecCycles(mode));
-    }
-
-    out.len = static_cast<std::uint8_t>(cur - addr);
-    for (unsigned i = 0; i < out.len; ++i)
-        out.raw[i] = mem_.peekByte(addr + i);
-}
-
 RunOutcome
 VaxMachine::runFast(std::uint64_t maxSteps)
 {
     RunOutcome outcome;
-
-    // A tracer must observe every instruction in decode order; fall
-    // back to the reference interpreter so trace semantics (and
-    // everything else) are unchanged.
-    if (trace_) {
-        while (!halted_ && outcome.steps < maxSteps) {
-            step();
-            ++outcome.steps;
-        }
-        outcome.halted = halted_;
-        return outcome;
-    }
-
     predecode_.sync(mem_);
 
     while (!halted_ && outcome.steps < maxSteps) {
         const std::uint32_t pc = regs_[vaxPc];
-
-        // A PC outside memory has no cache slot; step() raises the
-        // reference fetch fault (fetchByte counts nothing first).
-        if (pc >= mem_.size()) {
-            step();
-            ++outcome.steps;
-            continue;
-        }
-
-        PredecodeCache::Slot &e = predecode_.slot(pc);
-        const PredecodePayload &p = e.payload;
-        bool clean = !e.empty() &&
-                     PredecodeCache::valid(e, mem_, pc, p.len ? p.len : 1);
-        if (!clean) {
-            // Stale or never filled: re-peek and revalidate.  An
-            // unchanged encoding keeps its decode; only genuinely new
-            // bytes pay for a fresh predecode.
-            bool same = !e.empty() && p.len != 0 &&
-                        static_cast<std::uint64_t>(pc) + p.len <=
-                            mem_.size();
-            if (same)
-                for (unsigned i = 0; i < p.len; ++i)
-                    if (e.payload.raw[i] != mem_.peekByte(pc + i)) {
-                        same = false;
-                        break;
-                    }
-            if (!same)
-                predecodeAt(pc, e.payload);
-            PredecodeCache::revalidate(
-                e, mem_, pc, e.payload.len ? e.payload.len : 1);
-        }
-
-        if (p.refStep) {
-            step();
-            ++outcome.steps;
-            continue;
-        }
-
-        // Same per-instruction cache consultation as step(), at the
-        // same point (instruction start, before stream accounting).
         if (hier_)
             stats_.cycles += hier_->fetch(pc);
 
-        // Account the instruction stream exactly as the byte-wise
-        // reference fetch loop would: one fetch per byte.
-        mem_.countFetch(p.len);
-        stats_.instrBytes += p.len;
-
-        ++stats_.instructions;
-        ++stats_.perClass[static_cast<std::size_t>(p.info->cls)];
-        stats_.cycles += p.info->baseCycles;
-
-        // Replay the operand specifiers in stream order: specifier
-        // cycles, operand counters, and auto-inc/dec register updates
-        // happen in the same order and amounts as decodeSpecifier().
-        Ref ops[vaxMaxOperands];
-        for (unsigned i = 0; i < p.info->numOperands; ++i) {
-            const PredecodedSpec &spec = p.specs[i];
-            Ref &ref = ops[i];
-            stats_.cycles += spec.specCycles;
-            switch (spec.kind) {
-              case PredecodedSpec::Kind::ShortLiteral:
-              case PredecodedSpec::Kind::Immediate:
-                ref.kind = Ref::Kind::Literal;
-                ref.value = spec.value;
-                break;
-              case PredecodedSpec::Kind::Register:
-                ref.kind = Ref::Kind::Reg;
-                ref.reg = spec.rn;
-                break;
-              case PredecodedSpec::Kind::Deferred:
-                ref.kind = Ref::Kind::Mem;
-                ref.reg = spec.rn;
-                ref.addr = regs_[spec.rn];
-                ++stats_.regOperandReads;
-                break;
-              case PredecodedSpec::Kind::AutoDec:
-                regs_[spec.rn] -= spec.step;
-                ref.kind = Ref::Kind::Mem;
-                ref.addr = regs_[spec.rn];
-                ++stats_.regOperandReads;
-                ++stats_.regOperandWrites;
-                break;
-              case PredecodedSpec::Kind::AutoInc:
-                ref.kind = Ref::Kind::Mem;
-                ref.addr = regs_[spec.rn];
-                regs_[spec.rn] += spec.step;
-                ++stats_.regOperandReads;
-                ++stats_.regOperandWrites;
-                break;
-              case PredecodedSpec::Kind::Absolute:
-                ref.kind = Ref::Kind::Mem;
-                ref.addr = spec.value;
-                break;
-              case PredecodedSpec::Kind::Disp:
-                ref.kind = Ref::Kind::Mem;
-                ref.addr = regs_[spec.rn] + spec.value;
-                ++stats_.regOperandReads;
-                break;
-              case PredecodedSpec::Kind::Branch:
-                ref.kind = Ref::Kind::Branch;
-                ref.value = spec.value;
-                break;
+        // A PC outside memory has no slot: the decoder below raises
+        // step()'s fetch fault.
+        PredecodeCache::Slot *e =
+            pc < mem_.size() ? &predecode_.slot(pc) : nullptr;
+        bool hit = false;
+        if (e && !e->empty()) {
+            const PredecodePayload &p = e->payload;
+            hit = PredecodeCache::valid(*e, mem_, pc, p.len);
+            if (!hit) {
+                // The lines were written (data and code often share
+                // pages): an unchanged encoding keeps its record.
+                hit = true;
+                for (unsigned i = 0; i < p.len && hit; ++i)
+                    hit = p.raw[i] == mem_.peekByte(pc + i);
+                if (hit)
+                    PredecodeCache::revalidate(*e, mem_, pc, p.len);
             }
         }
 
-        // The reference decoder leaves the PC past the whole
-        // instruction before execution; branches then overwrite it.
-        regs_[vaxPc] = pc + p.len;
-        execute(*p.info, ops);
+        Ref ops[vaxMaxOperands];
+        if (hit) {
+            // Replay: the stream accounting of the byte-wise fetch,
+            // then each specifier in stream order.
+            const PredecodePayload &p = e->payload;
+            mem_.countFetch(p.len);
+            stats_.instrBytes += p.len;
+            beginInstruction(*p.info, pc);
+            for (unsigned i = 0; i < p.info->numOperands; ++i) {
+                stats_.cycles += p.specs[i].specCycles;
+                applySpec(p.specs[i], ops[i]);
+            }
+            regs_[vaxPc] = pc + p.len;
+            execute(*p.info, ops);
+        } else {
+            // Miss: decode live.  A faulting decode leaves the slot as
+            // it was; a stored one is revalidated before execute(),
+            // which may overwrite the instruction's own bytes.
+            PredecodePayload inst;
+            if (decode(inst, ops) && e) {
+                for (unsigned i = 0; i < inst.len; ++i)
+                    inst.raw[i] = mem_.peekByte(pc + i);
+                e->payload = inst;
+                PredecodeCache::revalidate(*e, mem_, pc, inst.len);
+            }
+            execute(*inst.info, ops);
+        }
         ++outcome.steps;
     }
     outcome.halted = halted_;

@@ -163,15 +163,16 @@ class VaxMachine
      * fast path and report how far it got (no runaway throw — callers
      * that need a budget, like the batch engine, check `halted`).
      *
-     * Architecturally bit-for-bit equivalent to calling step() in a
-     * loop: registers, condition codes, memory, and every
-     * VaxStats/MemoryStats counter are identical, including across
-     * self-modifying code and snapshot restore (the decode cache keys
-     * on Memory's per-line write generations — see
-     * target/decode_cache.hh).  Instructions the predecoder cannot
-     * replay exactly (PC-based effective addresses, encodings step()
-     * would fault on) are executed through step() itself, so even
-     * fault behavior matches.
+     * step() is this loop without the decode cache: a miss runs the
+     * same byte-wise decoder step() does, and a hit replays the stored
+     * specifiers through the same specifier routine, so registers,
+     * condition codes, memory, every VaxStats/MemoryStats counter,
+     * faults and trace events are identical.  The cache keys on
+     * Memory's per-line write generations (target/decode_cache.hh),
+     * so self-modifying code and snapshot restore invalidate it.
+     * Encodings whose effective address reads the PC mid-stream —
+     * `(PC)`, `-(PC)`, `disp(PC)` — are never stored and decode live
+     * every time.
      */
     RunOutcome runFast(std::uint64_t maxSteps = 200'000'000);
 
@@ -209,10 +210,10 @@ class VaxMachine
      * Install (or clear, with nullptr) an execution tracer.  While
      * installed, every executed instruction is recorded into @p trace
      * (obs/trace.hh; pc + mnemonic — the variable-length encoding
-     * makes full operand rendering a disassembler job), and runFast()
-     * falls back to the reference interpreter so the trace observes
-     * every instruction in decode order.  Non-owning — the Trace must
-     * outlive the registration.  No cost when none is installed.
+     * makes full operand rendering a disassembler job), from step()
+     * and runFast() alike.  Non-owning — the Trace must outlive the
+     * registration.  One predictable branch per instruction when none
+     * is installed.
      */
     void setTrace(obs::Trace *trace) { trace_ = trace; }
     obs::Trace *trace() const { return trace_; }
@@ -234,10 +235,6 @@ class VaxMachine
 
     enum class Width : std::uint8_t { Byte, Half, Long };
 
-    /** Decode one general operand specifier (width sizes auto modes). */
-    Ref decodeSpecifier(Width width);
-    /** Decode an operand per its declared use. */
-    Ref decodeOperand(VaxOpndUse use);
     std::uint32_t readRef(const Ref &ref, Width width);
     void writeRef(const Ref &ref, std::uint32_t value, Width width);
 
@@ -253,15 +250,14 @@ class VaxMachine
     static constexpr unsigned maxInstrBytes = 1 + vaxMaxOperands * 5;
 
     /**
-     * One predecoded operand specifier.  Everything static about the
+     * One decoded operand specifier.  Everything static about the
      * specifier — its addressing-mode kind, register number, stream
      * constants (displacement / immediate / absolute address / branch
-     * target), access step, decode cycles, and the operand-counter
-     * contributions — is captured at decode time; only the
-     * register-dependent parts (effective addresses, auto-inc/dec
-     * register updates) are replayed per execution, in stream order,
-     * so the architectural and accounting effects match step()
-     * exactly.
+     * target), access step and specifier cycles — is captured at
+     * decode time; the register-dependent parts (effective addresses,
+     * auto-inc/dec register updates, operand counters) are applied by
+     * applySpec(), as each specifier is parsed and again, in stream
+     * order, on every decode-cache hit.
      */
     struct PredecodedSpec
     {
@@ -280,24 +276,16 @@ class VaxMachine
         Kind kind = Kind::ShortLiteral;
         std::uint8_t rn = 0;
         std::uint8_t step = 0;        ///< auto-inc/dec stride
-        std::uint8_t specCycles = 0;  ///< decode/EA cycles step() adds
+        std::uint8_t specCycles = 0;  ///< decode/EA cycles
         std::uint32_t value = 0;
     };
 
-    /** Decode-cache payload: one byte-addressed instruction. */
+    /** One decoded instruction: what decode() produces and the
+     *  decode cache stores, one slot per byte address. */
     struct PredecodePayload
     {
         const VaxOpInfo *info = nullptr;
         std::uint8_t len = 0;  ///< encoded length in bytes
-        /**
-         * Replay through step() instead: encodings whose decode
-         * depends on mid-stream PC values (PC-based EAs), that step()
-         * faults on (illegal opcode/mode, stream past memory end), or
-         * that otherwise defy static predecoding.  step() reproduces
-         * the reference behavior — including the exact fault and its
-         * partial state — by construction.
-         */
-        bool refStep = false;
         std::array<std::uint8_t, maxInstrBytes> raw{};  ///< for revalidation
         std::array<PredecodedSpec, vaxMaxOperands> specs{};
     };
@@ -307,11 +295,21 @@ class VaxMachine
     using PredecodeCache = target::DecodeCache<PredecodePayload, 0>;
 
     /**
-     * Predecode the instruction at @p addr via uncounted peeks (no
-     * architectural or accounting side effects).  Marks @p out
-     * refStep instead of failing when exact replay is not possible.
+     * Decode the instruction at the PC with counted fetches into
+     * @p out (all but its raw bytes), counting the instruction and
+     * applying each specifier to @p ops as it is parsed, so a fault
+     * mid-instruction leaves exactly the partial state it reached.
+     * Leaves the PC past the instruction.  @return false when the
+     * encoding reads the PC mid-stream and so must not be stored.
      */
-    void predecodeAt(std::uint32_t addr, PredecodePayload &out) const;
+    bool decode(PredecodePayload &out, Ref *ops);
+    /** Count one instruction about to execute at @p pc (and trace
+     *  it); shared by decode() and runFast()'s cache hits. */
+    void beginInstruction(const VaxOpInfo &info, std::uint32_t pc);
+    /** Apply one decoded specifier's effect, producing @p ref. */
+    void applySpec(const PredecodedSpec &spec, Ref &ref);
+    /** Record an instruction's trace event (cold: only with a tracer). */
+    void traceInstruction(const VaxOpInfo &info, std::uint32_t pc);
 
     VaxConfig config_;
     Memory mem_;

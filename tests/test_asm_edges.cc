@@ -385,6 +385,10 @@ const ErrorRow kErrorRows[] = {
      "line 1: immediate 5000 does not fit in 13 bits"},
     {false, "start: bra 0x100000\n",
      "line 1: offset 1044480 does not fit in 19 bits (too far?)"},
+    {false, "start: bra 0 - 0x7fffffffffffffff - 1\n",
+     "line 1: branch target -9223372036854775808 is out of range"},
+    {false, "start: nop\n       jmpr alw, 0 - 0x7fffffffffffffff + 2\n",
+     "line 2: branch target -9223372036854775805 is out of range"},
     {false, "start: add r1, r2, 4(r3)\n",
      "line 1: bad s2 operand (register or expression expected)"},
     {false, "start: ldl r1\n", "line 1: missing address operand"},
@@ -422,6 +426,10 @@ const ErrorRow kErrorRows[] = {
      "use brw/jmp"},
     {true, "start: brw far\n.space 40000\nfar: halt\n",
      "line 1: branch displacement 40000 exceeds word range"},
+    {true, "start: brb 0 - 0x7fffffffffffffff - 1\n",
+     "line 1: branch target -9223372036854775808 is out of range"},
+    {true, "start: brw 0 - 0x7fffffffffffffff - 1\n",
+     "line 1: branch target -9223372036854775808 is out of range"},
 
     // Numeric directives take expressions only: a string, a register
     // or a memory operand is an error, never a silent 0.

@@ -15,7 +15,7 @@ namespace {
 
 TEST(Cache, ColdMissThenHit)
 {
-    mem::Level cache(CacheConfig{64, 16, 4});
+    mem::Level cache(mem::LevelConfig{64, 16, 4});
     EXPECT_FALSE(cache.access(0x1000).hit);
     EXPECT_TRUE(cache.access(0x1000).hit);
     EXPECT_TRUE(cache.access(0x100c).hit); // same 16-byte line
@@ -28,7 +28,7 @@ TEST(Cache, ColdMissThenHit)
 TEST(Cache, DirectMappedConflicts)
 {
     // 64B / 16B lines = 4 lines; addresses 64 apart collide.
-    mem::Level cache(CacheConfig{64, 16, 4});
+    mem::Level cache(mem::LevelConfig{64, 16, 4});
     EXPECT_FALSE(cache.access(0x0).hit);
     EXPECT_FALSE(cache.access(0x40).hit);  // evicts line 0
     EXPECT_FALSE(cache.access(0x0).hit);   // miss again
@@ -37,7 +37,7 @@ TEST(Cache, DirectMappedConflicts)
 
 TEST(Cache, LoopFitsEntirely)
 {
-    mem::Level cache(CacheConfig{256, 16, 4});
+    mem::Level cache(mem::LevelConfig{256, 16, 4});
     // A 16-word (64-byte) loop touched 100 times.
     for (int iter = 0; iter < 100; ++iter)
         for (std::uint32_t pc = 0x1000; pc < 0x1040; pc += 4)
@@ -49,9 +49,9 @@ TEST(Cache, LoopFitsEntirely)
 
 TEST(Cache, BadGeometryRejected)
 {
-    EXPECT_THROW(mem::Level(CacheConfig{100, 16, 4}), FatalError);
-    EXPECT_THROW(mem::Level(CacheConfig{64, 3, 4}), FatalError);
-    EXPECT_THROW(mem::Level(CacheConfig{8, 16, 4}), FatalError);
+    EXPECT_THROW(mem::Level(mem::LevelConfig{100, 16, 4}), FatalError);
+    EXPECT_THROW(mem::Level(mem::LevelConfig{64, 3, 4}), FatalError);
+    EXPECT_THROW(mem::Level(mem::LevelConfig{8, 16, 4}), FatalError);
 }
 
 TEST(Cache, ResetInvalidates)
@@ -65,7 +65,7 @@ TEST(Cache, ResetInvalidates)
 
 TEST(Cache, WriteThroughNeverWritesBack)
 {
-    mem::Level cache(CacheConfig{64, 16, 4});
+    mem::Level cache(mem::LevelConfig{64, 16, 4});
     cache.access(0x0, true);
     cache.access(0x40, true);  // evicts line 0 — clean under WT
     EXPECT_EQ(cache.stats().writebacks, 0u);
@@ -75,7 +75,7 @@ TEST(Cache, WriteThroughNeverWritesBack)
 TEST(Cache, WriteBackChargesDirtyEviction)
 {
     mem::Level cache(
-        CacheConfig{64, 16, 4, mem::WritePolicy::WriteBack});
+        mem::LevelConfig{64, 16, 4, mem::WritePolicy::WriteBack});
     cache.access(0x0, true);              // miss, line dirtied
     const auto evict = cache.access(0x40, false); // evicts dirty line
     EXPECT_FALSE(evict.hit);
@@ -185,18 +185,31 @@ TEST(Cache, IndexAndTagMatchDivisionModel)
     }
 }
 
+/** A machine's L1 statistics (zeroes when that level is not fitted). */
+mem::LevelStats
+l1iStats(const Machine &m)
+{
+    return m.memHierarchyStats().l1i.value_or(mem::LevelStats{});
+}
+
+mem::LevelStats
+l1dStats(const Machine &m)
+{
+    return m.memHierarchyStats().l1d.value_or(mem::LevelStats{});
+}
+
 TEST(MachineIcache, DisabledByDefault)
 {
     Machine m;
     test::loadAsm(m, "start: ldi r1, 5\n halt\n");
     m.run();
-    EXPECT_EQ(m.icacheStats().accesses(), 0u);
+    EXPECT_EQ(l1iStats(m).accesses(), 0u);
 }
 
 TEST(MachineIcache, LoopsHitAfterWarmup)
 {
     MachineConfig cfg;
-    cfg.icache = CacheConfig{1024, 16, 4};
+    cfg.caches.l1i = mem::LevelConfig{1024, 16, 4};
     Machine m(cfg);
     test::loadAsm(m, R"(
 start:  clr   r1
@@ -209,8 +222,8 @@ loop:   add   r1, r1, r2
         halt
 )");
     m.run();
-    EXPECT_GT(m.icacheStats().hitRate(), 0.99);
-    EXPECT_EQ(m.icacheStats().accesses(), m.stats().instructions);
+    EXPECT_GT(l1iStats(m).hitRate(), 0.99);
+    EXPECT_EQ(l1iStats(m).accesses(), m.stats().instructions);
 }
 
 TEST(MachineIcache, MissPenaltyChargedToCycles)
@@ -223,7 +236,7 @@ TEST(MachineIcache, MissPenaltyChargedToCycles)
     plain.run();
 
     MachineConfig cfg;
-    cfg.icache = CacheConfig{64, 16, 10};
+    cfg.caches.l1i = mem::LevelConfig{64, 16, 10};
     Machine cached(cfg);
     test::loadAsm(cached, src);
     cached.run();
@@ -232,14 +245,14 @@ TEST(MachineIcache, MissPenaltyChargedToCycles)
     EXPECT_EQ(plain.stats().instructions, cached.stats().instructions);
     EXPECT_EQ(cached.stats().cycles,
               plain.stats().cycles +
-                  cached.icacheStats().misses * 10);
+                  l1iStats(cached).misses * 10);
 }
 
 TEST(MachineIcache, ResultsUnchangedAcrossCacheSizes)
 {
     for (const std::uint32_t size : {64u, 256u, 4096u}) {
         MachineConfig cfg;
-        cfg.icache = CacheConfig{size, 16, 6};
+        cfg.caches.l1i = mem::LevelConfig{size, 16, 6};
         const RiscRun run =
             runRiscWorkload(findWorkload("sieve"), cfg);
         EXPECT_EQ(run.checksum, findWorkload("sieve").expected)
@@ -253,11 +266,11 @@ TEST(MachineIcache, LargeCacheBeatsTinyCache)
     // compare only the extremes, where the gap is unambiguous.)
     auto missesWith = [](std::uint32_t size) {
         MachineConfig cfg;
-        cfg.icache = CacheConfig{size, 16, 6};
+        cfg.caches.l1i = mem::LevelConfig{size, 16, 6};
         Machine m(cfg);
         test::loadAsm(m, findWorkload("fib_rec").riscSource);
         m.run();
-        return m.icacheStats().misses;
+        return l1iStats(m).misses;
     };
     EXPECT_LT(missesWith(4096), missesWith(64));
 }
@@ -281,24 +294,24 @@ loop:   ldl   r4, (r2)
     plain.run();
 
     MachineConfig cfg;
-    cfg.dcache = CacheConfig{128, 16, 7};
+    cfg.caches.l1d = mem::LevelConfig{128, 16, 7};
     Machine cached(cfg);
     test::loadAsm(cached, src);
     cached.run();
 
-    EXPECT_EQ(cached.dcacheStats().accesses(), 64u); // 32 ld + 32 st
+    EXPECT_EQ(l1dStats(cached).accesses(), 64u); // 32 ld + 32 st
     EXPECT_EQ(cached.stats().cycles,
-              plain.stats().cycles + cached.dcacheStats().misses * 7);
+              plain.stats().cycles + l1dStats(cached).misses * 7);
     // Sequential word streams in 16-byte lines: 1 miss per 4 words
     // per stream.
-    EXPECT_EQ(cached.dcacheStats().misses, 16u);
+    EXPECT_EQ(l1dStats(cached).misses, 16u);
 }
 
 TEST(MachineDcache, SpillTrafficBypassesDcache)
 {
     MachineConfig cfg;
     cfg.windows.numWindows = 2;     // recursion spills constantly
-    cfg.dcache = CacheConfig{256, 16, 7};
+    cfg.caches.l1d = mem::LevelConfig{256, 16, 7};
     Machine m(cfg);
     test::loadAsm(m, R"(
 start:  ldi   r10, 12
@@ -322,7 +335,7 @@ rec:    sub   r10, r26, 1
     m.run();
     EXPECT_GT(m.stats().spillWords, 0u);
     // No program loads/stores: the dcache saw no traffic.
-    EXPECT_EQ(m.dcacheStats().accesses(), 0u);
+    EXPECT_EQ(l1dStats(m).accesses(), 0u);
     EXPECT_EQ(m.reg(1), 78u);
 }
 

@@ -116,11 +116,11 @@ TEST(FastPath, AllWorkloads)
 
 TEST(FastPath, WorkloadsUnderCachesAndAblation)
 {
-    // Exercise the icache/dcache accounting and the no-window ablation
+    // Exercise the L1I/L1D accounting and the no-window ablation
     // through both paths (fib_rec covers window traffic).
     MachineConfig cached;
-    cached.icache = CacheConfig{512, 16, 8};
-    cached.dcache = CacheConfig{256, 16, 10};
+    cached.caches.l1i = mem::LevelConfig{512, 16, 8};
+    cached.caches.l1d = mem::LevelConfig{256, 16, 10};
     MachineConfig soft;
     soft.windowedCalls = false;
 
@@ -339,8 +339,9 @@ TEST(FastPath, CallTraceRecorded)
 }
 
 /**
- * With a tracer installed, runFast falls back to step() so the
- * hook still observes every instruction in decode order.
+ * With a tracer installed, runFast stays on the decode cache and
+ * records from inside its own loop: the hook observes every
+ * instruction in decode order.
  */
 TEST(FastPath, TraceSeesEveryInstruction)
 {

@@ -238,6 +238,95 @@ TEST(MachineControl, DelaySlotStatsCountNops)
     EXPECT_EQ(m.stats().delaySlotNops, 1u);
 }
 
+/**
+ * One instruction of every class (and both s2 forms where a class has
+ * them) under a Timing whose class costs all differ: the operand
+ * counters, cycles, and delay-slot counts are hand-computed, so a
+ * slip in either tier's accounting shows without a second copy to
+ * compare against.
+ */
+TEST(MachineControl, EveryClassCountsOperandsCyclesAndSlots)
+{
+    const auto regIndexed = [](Opcode op, unsigned rd) {
+        return Instruction{.op = op, .rd = static_cast<std::uint8_t>(rd),
+                           .rs1 = 1, .rs2 = 0};
+    };
+    const std::vector<Instruction> prog = {
+        Instruction::ldhi(1, 4),                      // 00 r1 = 0x8000
+        Instruction::alu(Opcode::Add, 2, 1, 1),       // 04
+        Instruction::aluImm(Opcode::Add, 3, 1, 8),    // 08
+        Instruction::load(Opcode::Ldl, 4, 1, 0),      // 0c
+        regIndexed(Opcode::Ldl, 5),                   // 10
+        Instruction::store(Opcode::Stl, 4, 1, 4),     // 14
+        regIndexed(Opcode::Stl, 4),                   // 18
+        Instruction::jmpr(Cond::Never, 8),            // 1c untaken
+        Instruction::nop(),                           // 20 slot (nop)
+        Instruction{.op = Opcode::Jmp,                // 24 untaken
+                    .rd = static_cast<std::uint8_t>(Cond::Never),
+                    .rs1 = 1, .rs2 = 0},
+        Instruction{.op = Opcode::Getpsw, .rd = 6},   // 28 slot
+        Instruction{.op = Opcode::Gtlpc, .rd = 7},    // 2c
+        Instruction{.op = Opcode::Putpsw, .rs1 = 6},  // 30
+        Instruction::callr(31, 12),                   // 34 to 40
+        Instruction::nop(),                           // 38 slot (nop)
+        Instruction::jmpr(Cond::Alw, 0),              // 3c halt
+        Instruction{.op = Opcode::Calli, .rd = 25},   // 40 r25 = kOrg+38
+        Instruction{.op = Opcode::Reti, .rs1 = 25,    // 44 to 4c (no slot
+                    .imm = true, .simm13 = 0x14},     //    before it)
+        Instruction::nop(),                           // 48 slot (nop)
+        Instruction::ret(31, 8),                      // 4c to 3c
+        Instruction::nop(),                           // 50 slot (nop)
+    };
+    MachineConfig cfg;
+    cfg.timing.aluCycles = 2;
+    cfg.timing.loadCycles = 3;
+    cfg.timing.storeCycles = 5;
+    cfg.timing.jumpCycles = 7;
+    cfg.timing.callCycles = 11;
+    cfg.timing.retCycles = 13;
+    cfg.timing.specialCycles = 17;
+
+    for (const bool fast : {false, true}) {
+        SCOPED_TRACE(fast ? "runFast" : "step");
+        Machine m(cfg);
+        loadRaw(m, prog);
+        if (fast)
+            ASSERT_TRUE(m.runFast().halted);
+        else
+            m.run();
+        const RunStats &s = m.stats();
+        EXPECT_EQ(m.pc(), kOrg + 0x3c);
+        EXPECT_EQ(s.instructions, 21u);
+        EXPECT_EQ(s.classCount(InstClass::Alu), 7u);     // 3 + 4 nops
+        EXPECT_EQ(s.classCount(InstClass::Load), 2u);
+        EXPECT_EQ(s.classCount(InstClass::Store), 2u);
+        EXPECT_EQ(s.classCount(InstClass::Jump), 3u);    // incl. halt
+        EXPECT_EQ(s.classCount(InstClass::CallRet), 4u);
+        EXPECT_EQ(s.classCount(InstClass::Special), 3u);
+        // 7*2 + 2*3 + 2*5 + 3*7 + 2*11 (callr, calli)
+        //     + 2*13 (reti, ret) + 3*17
+        EXPECT_EQ(s.cycles, 150u);
+        // ALU 2+1+1+1+1 (nops read r0), loads 1+2, stores 2+3,
+        // jmp 2, putpsw 1, reti 1, ret 1.
+        EXPECT_EQ(s.regOperandReads, 20u);
+        // Every ALU/load/getpsw/gtlpc destination (11), plus two per
+        // call (4): the decoded rd write and doCall's return-address
+        // write, which count the same register write twice.
+        EXPECT_EQ(s.regOperandWrites, 15u);
+        // After jmpr, jmp, callr, reti and ret; never after CALLI.
+        EXPECT_EQ(s.delaySlotsExecuted, 5u);
+        EXPECT_EQ(s.delaySlotNops, 4u);
+        EXPECT_EQ(s.untakenJumps, 2u);
+        EXPECT_EQ(s.takenTransfers, 3u);
+        EXPECT_EQ(s.loadCount, 2u);
+        EXPECT_EQ(s.storeCount, 2u);
+        EXPECT_EQ(s.calls, 2u);
+        EXPECT_EQ(s.returns, 2u);
+        EXPECT_EQ(m.reg(25), 0u); // back in the outer window
+        EXPECT_TRUE(m.psw().intEnable);
+    }
+}
+
 TEST(MachineControl, TraceSeesEveryInstruction)
 {
     Machine m;

@@ -137,14 +137,15 @@ TEST(TraceSinks, JsonlSinkWritesOneObjectPerLine)
 
 /** Trace one full run through a Target and return the JSONL text. */
 std::string
-jsonlOfRun(const std::string &backend, const std::string &source, bool fast)
+jsonlOfRun(const std::string &backend, const std::string &source, bool fast,
+           const target::TargetOptions &options = {})
 {
     std::ostringstream os;
     obs::JsonlSink sink(os);
     Trace trace(8);
     trace.addSink(sink);
 
-    const auto tgt = target::makeTarget(backend, {});
+    const auto tgt = target::makeTarget(backend, options);
     tgt->load(source);
     tgt->setTrace(&trace);
     const RunOutcome out = tgt->run(10'000'000, fast);
@@ -156,22 +157,42 @@ jsonlOfRun(const std::string &backend, const std::string &source, bool fast)
     return os.str();
 }
 
+// The fast tier records its trace from inside its own loop; every
+// workload's event stream must match the step tier's byte for byte.
 TEST(TraceSinks, JsonlIdenticalBetweenStepAndFastPathRisc)
 {
-    const Workload &w = findWorkload("fib_rec");
-    const std::string ref = jsonlOfRun("risc", w.riscSource, false);
-    const std::string fast = jsonlOfRun("risc", w.riscSource, true);
-    EXPECT_FALSE(ref.empty());
-    EXPECT_EQ(ref, fast);
+    // Two windows too: nearly every call and return traps, so trap
+    // events interleave with the instruction events around them.
+    target::TargetOptions twoWindows;
+    twoWindows.risc.windows.numWindows = 2;
+    for (const target::TargetOptions &options : {target::TargetOptions{},
+                                                 twoWindows}) {
+        for (const Workload &w : allWorkloads()) {
+            SCOPED_TRACE(cat(w.id, " with ",
+                             options.risc.windows.numWindows, " windows"));
+            const std::string ref =
+                jsonlOfRun("risc", w.riscSource, false, options);
+            const std::string fast =
+                jsonlOfRun("risc", w.riscSource, true, options);
+            EXPECT_FALSE(ref.empty());
+            EXPECT_EQ(ref, fast);
+        }
+    }
+    const std::string traps = jsonlOfRun(
+        "risc", findWorkload("fib_rec").riscSource, true, twoWindows);
+    EXPECT_NE(traps.find("window overflow"), std::string::npos);
+    EXPECT_NE(traps.find("window underflow"), std::string::npos);
 }
 
 TEST(TraceSinks, JsonlIdenticalBetweenStepAndFastPathVax)
 {
-    const Workload &w = findWorkload("fib_rec");
-    const std::string ref = jsonlOfRun("vax", w.vaxSource, false);
-    const std::string fast = jsonlOfRun("vax", w.vaxSource, true);
-    EXPECT_FALSE(ref.empty());
-    EXPECT_EQ(ref, fast);
+    for (const Workload &w : allWorkloads()) {
+        SCOPED_TRACE(w.id);
+        const std::string ref = jsonlOfRun("vax", w.vaxSource, false);
+        const std::string fast = jsonlOfRun("vax", w.vaxSource, true);
+        EXPECT_FALSE(ref.empty());
+        EXPECT_EQ(ref, fast);
+    }
 }
 
 // --- Machine events ----------------------------------------------------

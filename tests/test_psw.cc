@@ -77,6 +77,39 @@ ok:     ldi   r1, 222
     EXPECT_EQ(m.reg(1), 222u);
 }
 
+/**
+ * GETPSW's whole packed word, hand-computed for known condition codes,
+ * interrupt enable and window pointers, on both execution tiers.
+ */
+TEST(Psw, GetpswReadsWholeWord)
+{
+    const std::vector<Instruction> prog = {
+        Instruction::aluImm(Opcode::Sub, 0, 0, 1, true), // 0 - 1: C, N
+        Instruction{.op = Opcode::Getpsw, .rd = 2},
+        Instruction{.op = Opcode::Putpsw, .rs1 = 0},     // cc, I := 0
+        Instruction{.op = Opcode::Getpsw, .rd = 3},
+        Instruction::callr(31, 8),                       // to kOrg+24
+        Instruction::nop(),                              // delay slot
+        Instruction{.op = Opcode::Putpsw, .rs1 = 2},     // C, N, I back
+        Instruction{.op = Opcode::Getpsw, .rd = 4},
+    };
+    for (const bool fast : {false, true}) {
+        SCOPED_TRACE(fast ? "runFast" : "step");
+        Machine m;
+        test::loadRaw(m, prog);
+        if (fast)
+            ASSERT_TRUE(m.runFast().halted);
+        else
+            m.run();
+        // C (bit 0), N (bit 3), I (bit 4); CWP 0, SWP 1 at reset.
+        EXPECT_EQ(m.reg(2), 0x00010019u);
+        // Everything user-writable cleared.
+        EXPECT_EQ(m.reg(3), 0x00010000u);
+        // One call deeper: CWP 7 (windows slide down), SWP still 1.
+        EXPECT_EQ(m.reg(4), 0x00010719u);
+    }
+}
+
 TEST(Psw, CwpVisibleThroughGetpsw)
 {
     const Machine m = test::runAsm(R"(

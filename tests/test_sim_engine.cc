@@ -65,7 +65,7 @@ mixedJobs()
         SimJob cached;
         cached.id = std::string(id) + "/icache";
         cached.source = w.riscSource;
-        cached.config.risc.icache = CacheConfig{256, 16, 4};
+        cached.config.risc.caches.l1i = mem::LevelConfig{256, 16, 4};
         cached.expected = w.expected;
         jobs.push_back(std::move(cached));
 
@@ -208,7 +208,7 @@ TEST(SimEngine, SnapshotForkMatchesFreshRun)
     // Fork the same prologue onto a cache-equipped sweep point too.
     SimJob forkedCached = forked;
     forkedCached.id = "forked-icache";
-    forkedCached.config.risc.icache = CacheConfig{512, 16, 4};
+    forkedCached.config.risc.caches.l1i = mem::LevelConfig{512, 16, 4};
 
     const auto results =
         sim::runBatch({fresh, forked, forkedCached}, {2});
@@ -303,7 +303,7 @@ machine  = cisc
 id       = c
 workload = hanoi
 windowed = false
-icache   = 1024,16,4
+l1i      = 1024,16,4
 maxsteps = 12345
 expect   = 7
 )");
@@ -319,8 +319,8 @@ expect   = 7
 
     EXPECT_EQ(jobs[2].id, "c");
     EXPECT_FALSE(jobs[2].config.risc.windowedCalls);
-    ASSERT_TRUE(jobs[2].config.risc.icache.has_value());
-    EXPECT_EQ(jobs[2].config.risc.icache->sizeBytes, 1024u);
+    ASSERT_TRUE(jobs[2].config.risc.caches.l1i.has_value());
+    EXPECT_EQ(jobs[2].config.risc.caches.l1i->sizeBytes, 1024u);
     EXPECT_EQ(jobs[2].maxSteps, 12345u);
     EXPECT_EQ(jobs[2].expected, 7u);
 }
@@ -520,6 +520,21 @@ TEST(JobFile, UnknownNamesReportTheValidOptions)
         EXPECT_NE(msg.find("workloud"), std::string::npos) << msg;
         EXPECT_NE(msg.find("workload"), std::string::npos) << msg;
         EXPECT_NE(msg.find("maxsteps"), std::string::npos) << msg;
+    }
+    // The legacy flat-cache keys are gone: `l1i`/`l1d` configure the
+    // same levels.
+    for (const char *key : {"icache", "dcache"}) {
+        try {
+            sim::parseJobText(cat("[job]\nworkload = fib_rec\n", key,
+                                  " = 256,16,4\n"));
+            FAIL() << "expected FatalError for " << key;
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      cat("job file line 3: unknown key '", key,
+                          "' (valid: machine, id, workload, file, "
+                          "windows, windowed, l1i, l1d, l2, maxsteps, "
+                          "fast, expect)"));
+        }
     }
 }
 

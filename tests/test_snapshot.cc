@@ -124,8 +124,8 @@ TEST(Snapshot, RoundTripWithCaches)
 {
     const Workload &w = findWorkload("sieve");
     MachineConfig config;
-    config.icache = CacheConfig{256, 16, 4};
-    config.dcache = CacheConfig{512, 16, 4};
+    config.caches.l1i = mem::LevelConfig{256, 16, 4};
+    config.caches.l1d = mem::LevelConfig{512, 16, 4};
     checkRoundTripAt(w.riscSource, config, 2000);
 
     // Cache hit/miss totals must survive the round trip too.
@@ -139,10 +139,12 @@ TEST(Snapshot, RoundTripWithCaches)
     Machine b(config);
     b.restore(snap);
     finish(b);
-    EXPECT_EQ(a.icacheStats().hits, b.icacheStats().hits);
-    EXPECT_EQ(a.icacheStats().misses, b.icacheStats().misses);
-    EXPECT_EQ(a.dcacheStats().hits, b.dcacheStats().hits);
-    EXPECT_EQ(a.dcacheStats().misses, b.dcacheStats().misses);
+    const mem::HierarchyStats sa = a.memHierarchyStats();
+    const mem::HierarchyStats sb = b.memHierarchyStats();
+    EXPECT_EQ(sa.l1i->hits, sb.l1i->hits);
+    EXPECT_EQ(sa.l1i->misses, sb.l1i->misses);
+    EXPECT_EQ(sa.l1d->hits, sb.l1d->hits);
+    EXPECT_EQ(sa.l1d->misses, sb.l1d->misses);
 }
 
 TEST(Snapshot, PendingInterruptSurvivesRestore)
@@ -230,7 +232,7 @@ TEST(Snapshot, RestoreRejectsMismatchedGeometry)
 TEST(Snapshot, MismatchedCacheRestartsCold)
 {
     MachineConfig cached;
-    cached.icache = CacheConfig{256, 16, 4};
+    cached.caches.l1i = mem::LevelConfig{256, 16, 4};
     Machine a(cached);
     test::loadAsm(a, R"(
 start:  clr   r1
@@ -245,15 +247,15 @@ loop:   add   r1, r1, r2
     for (int i = 0; i < 30; ++i)
         a.step();
     const MachineSnapshot snap = a.snapshot();
-    ASSERT_GT(a.icacheStats().accesses(), 0u);
+    ASSERT_GT(a.memHierarchyStats().l1i->accesses(), 0u);
 
     // Same run forked onto a machine with a *different* i-cache: the
     // architectural state transfers, the cache starts cold.
     MachineConfig other;
-    other.icache = CacheConfig{1024, 32, 8};
+    other.caches.l1i = mem::LevelConfig{1024, 32, 8};
     Machine b(other);
     b.restore(snap);
-    EXPECT_EQ(b.icacheStats().accesses(), 0u);
+    EXPECT_EQ(b.memHierarchyStats().l1i->accesses(), 0u);
     EXPECT_EQ(b.pc(), a.pc());
     finish(a);
     finish(b);

@@ -14,7 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "common/logging.hh"
+#include "common/random.hh"
 #include "vax/vassembler.hh"
 #include "vax/vmachine.hh"
 #include "workloads/workloads.hh"
@@ -231,6 +234,181 @@ TEST(VaxFastPath, SnapshotRestoreInvalidates)
         ;
     expectSameState(ref.snapshot(), m.snapshot());
 }
+
+TEST(VaxFastPath, InstructionRewritingItsOwnBytes)
+{
+    // `addl2 #imm, @self+2` adds its own immediate into the immediate's
+    // bytes, doubling it each pass.  The cache must store its record
+    // before execute() writes those bytes, so the next pass decodes
+    // the new immediate instead of replaying the old one.
+    const char *const source = R"(
+start:  movl   #4, r2             ; 3 bytes at 0x1000
+        nop
+        nop
+        nop
+self:   addl2  #0x1000000, @self+2  ; immediate at 0x1008, aligned
+        sobgtr r2, self
+        movl   @self+2, r0
+        halt
+)";
+    expectLockstep(source);
+    VaxMachine fast;
+    fast.loadProgram(assembleVax(source));
+    ASSERT_TRUE(fast.runFast().halted);
+    EXPECT_EQ(fast.reg(0), 0x10000000u);
+}
+
+TEST(VaxFastPath, PcRelativeEncodingsDecodeLive)
+{
+    // `disp(PC)` and `(PC)` read the PC mid-stream, so the cache never
+    // stores them; looping over them must read the same bytes as step().
+    expectLockstep(R"(
+start:  clrl   r0
+        movl   #3, r2
+loop:   movzbl 4(pc), r1
+        addl2  r1, r0
+        movzbl (pc), r1
+        addl2  r1, r0
+        sobgtr r2, loop
+        halt
+)");
+}
+
+/** Outcome of driving one machine to halt, fault, or a step budget. */
+struct Drive
+{
+    bool halted = false;
+    bool faulted = false;
+    std::uint64_t steps = 0;
+    std::string error;
+};
+
+// A guest byte stream may only raise FatalError; anything else
+// (a PanicError, a crash) escapes the drivers and fails the test.
+Drive
+driveStep(VaxMachine &m, std::uint64_t cap)
+{
+    Drive d;
+    try {
+        while (!m.halted() && d.steps < cap) {
+            m.step();
+            ++d.steps;
+        }
+        d.halted = m.halted();
+    } catch (const FatalError &e) {
+        d.faulted = true;
+        d.error = e.what();
+    }
+    return d;
+}
+
+Drive
+driveFast(VaxMachine &m, std::uint64_t cap)
+{
+    Drive d;
+    try {
+        const RunOutcome out = m.runFast(cap);
+        d.steps = out.steps;
+        d.halted = out.halted;
+    } catch (const FatalError &e) {
+        d.faulted = true;
+        d.error = e.what();
+    }
+    return d;
+}
+
+/**
+ * A random instruction stream: opcode bytes drawn from the opcode
+ * table (now and then an arbitrary, possibly illegal, byte), each
+ * followed by one random specifier per operand and up to four random
+ * extension bytes.  Specifiers name the PC a quarter of the time, so
+ * the PC-relative modes, `@(Rn)+` on a register and illegal mode
+ * nibbles all turn up.  With @p loop set the stream ends in a `brw`
+ * back to its start, so instructions run again from the cache.
+ */
+std::vector<std::uint8_t>
+randomStream(Rng &rng, bool loop)
+{
+    std::size_t count = 0;
+    const VaxOpInfo *ops = vaxAllOpcodes(count);
+    std::vector<std::uint8_t> bytes;
+    const std::size_t n = 2 + rng.below(10);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (rng.chance(1, 16)) {
+            bytes.push_back(static_cast<std::uint8_t>(rng.below(256)));
+            continue;
+        }
+        const VaxOpInfo &info = ops[rng.below(count)];
+        bytes.push_back(static_cast<std::uint8_t>(info.op));
+        for (unsigned k = 0; k < info.numOperands; ++k) {
+            const auto mode = static_cast<unsigned>(rng.below(16));
+            const auto rn = rng.chance(1, 4)
+                                ? 15u
+                                : static_cast<unsigned>(rng.below(16));
+            bytes.push_back(static_cast<std::uint8_t>(mode << 4 | rn));
+            for (auto e = rng.below(5); e > 0; --e)
+                bytes.push_back(static_cast<std::uint8_t>(rng.below(256)));
+        }
+    }
+    if (loop) {
+        // brw: the displacement counts from the end of the branch.
+        const auto disp = static_cast<std::uint16_t>(-(bytes.size() + 3));
+        bytes.push_back(static_cast<std::uint8_t>(VaxOpcode::Brw));
+        bytes.push_back(static_cast<std::uint8_t>(disp));
+        bytes.push_back(static_cast<std::uint8_t>(disp >> 8));
+    }
+    return bytes;
+}
+
+class VaxFuzz : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+/**
+ * Hostile input: random streams run on both tiers under a step
+ * budget.  Half sit in the last bytes of a small memory, so decodes
+ * run past its end; the other half loop, so cached records replay;
+ * r1 points at the code, so stores through it rewrite instructions
+ * the decode cache holds.  Both tiers must end with the same fault
+ * text (or none), the same halted flag and equal snapshots.
+ */
+TEST_P(VaxFuzz, RandomStreamsFaultIdentically)
+{
+    Rng rng(GetParam() ^ 0xc15cull);
+    VaxConfig cfg;
+    cfg.memorySize = 0x10000;
+    cfg.stackTop = 0x8000;
+    for (int round = 0; round < 300; ++round) {
+        SCOPED_TRACE(::testing::Message() << "seed=" << GetParam()
+                                          << " round=" << round);
+        const bool atEnd = rng.chance(1, 2);
+        const std::vector<std::uint8_t> code = randomStream(rng, !atEnd);
+        const auto org = static_cast<std::uint32_t>(
+            atEnd ? cfg.memorySize - code.size() : 0x4000);
+
+        VaxMachine slow(cfg), fast(cfg);
+        for (VaxMachine *m : {&slow, &fast}) {
+            m->memory().load(org, code.data(), code.size());
+            m->reset(org);
+            m->setReg(1, org);
+            m->setReg(2, 0x2000);
+        }
+        const Drive ds = driveStep(slow, 200);
+        const Drive df = driveFast(fast, 200);
+        EXPECT_EQ(ds.faulted, df.faulted);
+        EXPECT_EQ(ds.error, df.error);
+        EXPECT_EQ(ds.halted, df.halted);
+        if (!ds.faulted) {
+            EXPECT_EQ(ds.steps, df.steps);
+        }
+        expectSameState(slow.snapshot(), fast.snapshot());
+        if (::testing::Test::HasFailure())
+            break;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, VaxFuzz,
+                         ::testing::Values(1u, 2u, 42u, 0xdeadbeefu,
+                                           20260806u));
 
 } // namespace
 } // namespace risc1

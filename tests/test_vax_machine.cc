@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/logging.hh"
 #include "vax/vassembler.hh"
 #include "vax/vmachine.hh"
@@ -306,6 +308,85 @@ TEST(VaxMachine, IllegalOpcodeRejected)
     EXPECT_THROW(m.step(), FatalError);
 }
 
+TEST(VaxMachine, IllegalAddressingModeIsAFatalError)
+{
+    // movl with specifier nibble 4 (index mode, not modelled): a
+    // program error, raised before the specifier costs any cycles.
+    for (const std::uint8_t nibble : {0x4, 0xb, 0xd, 0xf}) {
+        VaxMachine m;
+        m.memory().pokeByte(0x1000, 0x10);  // movl
+        m.memory().pokeByte(0x1001, static_cast<std::uint8_t>(nibble << 4));
+        m.reset(0x1000);
+        try {
+            m.step();
+            ADD_FAILURE() << "no fault for nibble " << int{nibble};
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      cat("illegal addressing mode nibble 0x", std::hex,
+                          int{nibble}));
+        }
+        EXPECT_EQ(m.stats().instructions, 1u);
+        EXPECT_EQ(m.stats().cycles, 2u);  // movl's base cost only
+        EXPECT_EQ(m.stats().instrBytes, 2u);
+    }
+}
+
+/**
+ * A stream that runs off the end of memory mid-instruction faults
+ * with exactly the partial state it reached: the instruction counted,
+ * each parsed specifier's cycles charged before its extension bytes
+ * are fetched, and an auto-decrement already applied.
+ */
+TEST(VaxMachine, FaultMidInstructionKeepsPartialState)
+{
+    VaxConfig cfg;
+    cfg.memorySize = 0x10000;
+    cfg.stackTop = 0x8000;
+    struct Case
+    {
+        std::vector<std::uint8_t> bytes;
+        std::uint64_t cycles, regReads, regWrites;
+        std::uint32_t r1;
+    };
+    const Case cases[] = {
+        // movl #imm, ...: 2 base + 1 (immediate); 2 of 4 bytes there.
+        {{0x10, 0x8f, 0x01, 0x02}, 3, 0, 0, 0x100},
+        // movl -(r1), 0xbbaa....(r2): 2 + 1 (autodec) + 2 (long disp).
+        {{0x10, 0x71, 0xe2, 0xaa, 0xbb}, 5, 1, 1, 0xfc},
+    };
+    for (const Case &c : cases) {
+        for (const bool fast : {false, true}) {
+            SCOPED_TRACE(cat(c.bytes.size(), fast ? " (runFast)" : " (step)"));
+            VaxMachine m(cfg);
+            const auto org =
+                static_cast<std::uint32_t>(cfg.memorySize - c.bytes.size());
+            m.memory().load(org, c.bytes.data(), c.bytes.size());
+            m.reset(org);
+            m.setReg(1, 0x100);
+            try {
+                if (fast)
+                    m.runFast(1);
+                else
+                    m.step();
+                ADD_FAILURE() << "no fault";
+            } catch (const FatalError &e) {
+                EXPECT_EQ(std::string(e.what()),
+                          "out-of-range 1-byte access at address 0x10000 "
+                          "(memory size 0x10000)");
+            }
+            const VaxStats &s = m.stats();
+            EXPECT_EQ(s.instructions, 1u);
+            EXPECT_EQ(s.cycles, c.cycles);
+            EXPECT_EQ(s.instrBytes, c.bytes.size());
+            EXPECT_EQ(m.memory().stats().fetches, c.bytes.size());
+            EXPECT_EQ(s.regOperandReads, c.regReads);
+            EXPECT_EQ(s.regOperandWrites, c.regWrites);
+            EXPECT_EQ(m.reg(1), c.r1);
+            EXPECT_EQ(m.pc(), 0x10000u);
+        }
+    }
+}
+
 TEST(VaxMachine, RetWithoutFrameRejected)
 {
     VaxMachine m;
@@ -345,23 +426,113 @@ fwd:    .word 1234
 
 TEST(VaxMachine, AutoIncrementStepsByOperandWidth)
 {
-    // Regression: byte-width autoincrement must advance by 1, not 4.
-    const VaxMachine m = runVax(R"(
+    // Regression: byte-width autoincrement must advance by 1, not 4;
+    // autodecrement steps back by the same width.
+    const Program prog = assembleVax(R"(
 start:  moval bytes, r1
         movzbl (r1)+, r2
         movzbl (r1)+, r3
         moval words, r4
         movl  (r4)+, r5
         movl  (r4)+, r6
+        moval halves, r7
+        movzwl (r7)+, r8
+        movzwl (r7)+, r9
+        movzwl -(r7), r10
+        movzbl -(r1), r11
+        movl  -(r4), r0
         halt
 bytes:  .byte 7, 9
+        .align 2
+halves: .half 300, 400
         .align 4
 words:  .word 100, 200
 )");
-    EXPECT_EQ(m.reg(2), 7u);
-    EXPECT_EQ(m.reg(3), 9u);
-    EXPECT_EQ(m.reg(5), 100u);
-    EXPECT_EQ(m.reg(6), 200u);
+    for (const bool fast : {false, true}) {
+        SCOPED_TRACE(fast ? "runFast" : "step");
+        VaxMachine m;
+        m.loadProgram(prog);
+        if (fast)
+            ASSERT_TRUE(m.runFast().halted);
+        else
+            m.run();
+        EXPECT_EQ(m.reg(2), 7u);
+        EXPECT_EQ(m.reg(3), 9u);
+        EXPECT_EQ(m.reg(5), 100u);
+        EXPECT_EQ(m.reg(6), 200u);
+        EXPECT_EQ(m.reg(8), 300u);
+        EXPECT_EQ(m.reg(9), 400u);
+        EXPECT_EQ(m.reg(10), 400u);  // -(r7) steps back one half
+        EXPECT_EQ(m.reg(11), 9u);    // -(r1) steps back one byte
+        EXPECT_EQ(m.reg(0), 200u);   // -(r4) steps back one long
+        EXPECT_EQ(m.reg(1), prog.symbol("bytes") + 1);
+        EXPECT_EQ(m.reg(7), prog.symbol("halves") + 2);
+        EXPECT_EQ(m.reg(4), prog.symbol("words") + 4);
+    }
+}
+
+/**
+ * Operand counters and cycles of one `tstl` (or `clrl`) per
+ * addressing mode, hand-computed from the cost model: tstl/clrl base
+ * 2 cycles, plus the mode's specifier cycles (0 literal/register, 1
+ * deferred/auto/immediate/byte and word displacement, 2 absolute and
+ * long displacement), plus memAccessCycles (10 here) per memory
+ * operand.  Both execution tiers must read the same figures.
+ */
+TEST(VaxMachine, OperandCountsAndCyclesPerAddressingMode)
+{
+    struct Case
+    {
+        const char *inst;
+        std::uint64_t cycles, regReads, regWrites, memReads, memWrites;
+        std::uint32_t r1After;
+    };
+    constexpr std::uint32_t base = 0x20000;
+    const Case cases[] = {
+        {"tstl #5", 2, 0, 0, 0, 0, base},
+        {"tstl #100000", 3, 0, 0, 0, 0, base},
+        {"tstl r1", 2, 1, 0, 0, 0, base},
+        {"tstl (r1)", 13, 1, 0, 1, 0, base},
+        {"tstl (r1)+", 13, 1, 1, 1, 0, base + 4},
+        {"tstl -(r1)", 13, 1, 1, 1, 0, base - 4},
+        {"tstl @0x20000", 14, 0, 0, 1, 0, base},
+        {"tstl 4(r1)", 13, 1, 0, 1, 0, base},
+        {"tstl 300(r1)", 13, 1, 0, 1, 0, base},
+        {"tstl 100000(r1)", 14, 1, 0, 1, 0, base},
+        // PC-relative: the PC after the specifier (and displacement)
+        // bytes, 0x1004 from `.org 0x1002` and 0x1003 + 1 from 0x1000.
+        {".org 0x1002\nstart: tstl (pc)", 13, 1, 0, 1, 0, base},
+        {"tstl 1(pc)", 13, 1, 0, 1, 0, base},
+        {"clrl r2", 2, 0, 1, 0, 0, base},
+        {"clrl (r1)", 13, 1, 0, 0, 1, base},
+        {"clrl (r1)+", 13, 1, 1, 0, 1, base + 4},
+    };
+    VaxConfig cfg;
+    cfg.memAccessCycles = 10;
+    for (const Case &c : cases) {
+        const std::string line = c.inst;
+        const Program prog = assembleVax(
+            cat(line.find("start:") == std::string::npos ? "start: " : "",
+                line, "\n        halt\n"));
+        for (const bool fast : {false, true}) {
+            SCOPED_TRACE(cat(c.inst, fast ? " (runFast)" : " (step)"));
+            VaxMachine m(cfg);
+            m.loadProgram(prog);
+            m.setReg(1, base);
+            if (fast)
+                EXPECT_EQ(m.runFast(1).steps, 1u);
+            else
+                m.step();
+            const VaxStats &s = m.stats();
+            EXPECT_EQ(s.instructions, 1u);
+            EXPECT_EQ(s.cycles, c.cycles);
+            EXPECT_EQ(s.regOperandReads, c.regReads);
+            EXPECT_EQ(s.regOperandWrites, c.regWrites);
+            EXPECT_EQ(s.memOperandReads, c.memReads);
+            EXPECT_EQ(s.memOperandWrites, c.memWrites);
+            EXPECT_EQ(m.reg(1), c.r1After);
+        }
+    }
 }
 
 TEST(VaxMachine, DeepJsbNesting)
