@@ -42,8 +42,8 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "experiments.hh"
+#include "target/machine_target.hh"
 #include "target/registry.hh"
-#include "target/risc_target.hh"
 
 using namespace risc1;
 

@@ -23,7 +23,7 @@
 #include "experiments.hh"
 #include "sim/artifact.hh"
 #include "sim/engine.hh"
-#include "target/risc_target.hh"
+#include "target/machine_target.hh"
 #include "workloads/workloads.hh"
 
 using namespace risc1;

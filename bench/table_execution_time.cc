@@ -19,8 +19,6 @@
 #include "experiments.hh"
 #include "sim/artifact.hh"
 #include "sim/engine.hh"
-#include "target/risc_target.hh"
-#include "target/vax_target.hh"
 #include "workloads/workloads.hh"
 
 using namespace risc1;

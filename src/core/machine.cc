@@ -249,7 +249,6 @@ Machine::doCall(std::uint32_t target, unsigned rd, bool isInterrupt)
     // The return address lands in the NEW window (the callee's HIGHs
     // alias the caller's LOWs, so rd = r31 writes the caller's r15).
     regs_.write(rd, isInterrupt ? lastPc_ : pc_);
-    ++stats_.regOperandWrites;
 
     if (!config_.windowedCalls) {
         // Conventional calling sequence: save registers to memory.

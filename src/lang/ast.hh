@@ -1,8 +1,8 @@
 /**
  * @file
  * The AST of the RL mini language (docs/LANG.md) — the C-like workload
- * language that escalates the single-expression compiler (codegen/)
- * into whole programs: 32-bit ints, power-of-two global arrays,
+ * language the differential suite compiles to both ISAs, as whole
+ * programs: 32-bit ints, power-of-two global arrays,
  * if/while, function calls with arguments and return values, and an
  * `out()` trace statement.  The same tree is consumed by the
  * reference interpreter (interp.hh), both ISA lowerings (compile.hh),

@@ -22,7 +22,9 @@
  * Shared contract: the `gvars` data block layout (layout.hh), the
  * result convention (main's return value lands in the ISA checksum
  * register: RISC r1, VAX r0), and the language semantics in
- * interp.hh.
+ * interp.hh.  Both lowerings derive from one base (lowering.hh) that
+ * owns what they share: the output buffer and line format, labels,
+ * the name-to-register map, array sizes and the data block.
  */
 
 #ifndef RISC1_LANG_COMPILE_HH

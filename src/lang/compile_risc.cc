@@ -24,11 +24,8 @@
  */
 
 #include <algorithm>
-#include <sstream>
-#include <unordered_map>
 
-#include "common/logging.hh"
-#include "lang/compile.hh"
+#include "lang/lowering.hh"
 
 namespace risc1::lang {
 
@@ -40,16 +37,17 @@ constexpr int kLocalBase = 16;   ///< named locals, then expr stack
 constexpr int kLocalTop = 25;    ///< last usable LOCAL register
 constexpr int kParamBase = 26;   ///< incoming params r26..r29
 
-class RiscGen
+class RiscGen final : public Lowering
 {
   public:
     explicit RiscGen(const Program &program)
-        : prog_(program), layout_(layoutProgram(program))
+        : Lowering(program, "lang riscgen")
     {
     }
 
-    CompiledProgram
-    run()
+  private:
+    void
+    emitStart() override
     {
         os_ << "; generated by lang::compileRisc — register-window "
                "calling convention\n";
@@ -59,41 +57,6 @@ class RiscGen
         emit("", cat("mov   r1, r", kArgBase),
              "checksum = main's return value");
         emit("", "halt");
-        for (const auto &f : prog_.functions)
-            emitFunction(f);
-        emitData();
-        return {os_.str(), layout_};
-    }
-
-  private:
-    // -- assembly text helpers ------------------------------------------
-
-    void
-    emit(const std::string &label, const std::string &text,
-         const std::string &comment = "")
-    {
-        os_ << label;
-        if (!text.empty()) {
-            if (label.size() < 8)
-                os_ << std::string(8 - label.size(), ' ');
-            os_ << text;
-        }
-        if (!comment.empty())
-            os_ << "\t; " << comment;
-        os_ << "\n";
-    }
-
-    /** A label on its own line (attaches to the next statement). */
-    void
-    emitLabel(const std::string &label, const std::string &comment = "")
-    {
-        emit(label + ":", "", comment);
-    }
-
-    std::string
-    newLabel()
-    {
-        return cat("Lx", labelN_++);
     }
 
     // -- per-function state ---------------------------------------------
@@ -122,34 +85,15 @@ class RiscGen
         return slot(--depth_);
     }
 
-    /** Register of a named param/local, or -1 for a global. */
-    int
-    regOf(const std::string &name) const
-    {
-        const auto it = regOf_.find(name);
-        return it == regOf_.end() ? -1 : it->second;
-    }
-
     void
-    emitFunction(const Function &f)
+    emitFunction(const Function &f) override
     {
         fnName_ = f.name;
-        regOf_.clear();
         depth_ = 0;
-        for (std::size_t i = 0; i < f.params.size(); ++i)
-            regOf_[f.params[i]] = kParamBase + static_cast<int>(i);
-        int nextLocal = kLocalBase;
-        for (const auto &s : f.body)
-            if (s->kind == StmtKind::Local)
-                regOf_[s->name] = nextLocal++;
-        stackBase_ = nextLocal;
-
-        emitLabel(cat("f_", f.name),
-                  cat(f.params.size(), " param(s), ",
-                      nextLocal - kLocalBase, " local(s)"));
+        stackBase_ = enterFunction(f, kParamBase, kLocalBase);
         // All locals are zero at entry: the window registers carry
         // whatever the previous occupant left, so clear explicitly.
-        for (int r = kLocalBase; r < nextLocal; ++r)
+        for (int r = kLocalBase; r < stackBase_; ++r)
             emit("", cat("clr   r", r));
         emitBody(f.body);
         // Fall-through return (implicit `return 0`).
@@ -159,14 +103,7 @@ class RiscGen
     }
 
     void
-    emitBody(const std::vector<std::unique_ptr<Stmt>> &body)
-    {
-        for (const auto &s : body)
-            emitStmt(*s);
-    }
-
-    void
-    emitStmt(const Stmt &s)
+    emitStmt(const Stmt &s) override
     {
         switch (s.kind) {
           case StmtKind::Local:
@@ -275,15 +212,6 @@ class RiscGen
             return;
         }
         panic("bad statement kind");
-    }
-
-    std::uint32_t
-    arraySize(const std::string &name) const
-    {
-        const int g = prog_.findGlobal(name);
-        if (g < 0 || !prog_.globals[static_cast<std::size_t>(g)].isArray)
-            fatal(cat("lang riscgen: '", name, "' is not an array"));
-        return prog_.globals[static_cast<std::size_t>(g)].size;
     }
 
     /** Evaluate @p e into the next stack slot (depth_ grows by one). */
@@ -448,10 +376,7 @@ class RiscGen
     void
     emitCall(const Expr &e)
     {
-        const int fnIdx = prog_.findFunction(e.name);
-        if (fnIdx < 0)
-            fatal(cat("lang riscgen: call to undefined '", e.name,
-                      "'"));
+        checkCallee(e.name);
         const int argBase = depth_;
         for (const auto &a : e.args)
             emitExpr(*a);
@@ -467,37 +392,7 @@ class RiscGen
              "result from the overlap");
     }
 
-    void
-    emitData()
-    {
-        emit("", ".align 4");
-        bool first = true;
-        for (const auto &entry : layout_.entries) {
-            const std::string label = first ? cat(kDataLabel, ":") : "";
-            first = false;
-            if (entry.isArray) {
-                emit(label, cat(".space ", 4 * entry.words),
-                     cat(entry.name, "[", entry.words, "]"));
-            } else {
-                const int g = prog_.findGlobal(entry.name);
-                const std::uint32_t init =
-                    prog_.globals[static_cast<std::size_t>(g)].init;
-                emit(label, cat(".word ",
-                                static_cast<std::int32_t>(init)),
-                     entry.name);
-            }
-        }
-        emit(first ? cat(kDataLabel, ":") : "", ".word 0",
-             "out() count");
-        emit("", cat(".space ", 4 * kOutCap), "out() buffer");
-    }
-
-    const Program &prog_;
-    DataLayout layout_;
-    std::ostringstream os_;
-    int labelN_ = 0;
     std::string fnName_;
-    std::unordered_map<std::string, int> regOf_;
     int stackBase_ = kLocalBase;
     int depth_ = 0;
 };

@@ -28,10 +28,8 @@
  */
 
 #include <sstream>
-#include <unordered_map>
 
-#include "common/logging.hh"
-#include "lang/compile.hh"
+#include "lang/lowering.hh"
 
 namespace risc1::lang {
 
@@ -39,53 +37,22 @@ namespace {
 
 constexpr int kVarBase = 2;  ///< params then locals in r2..r9
 
-class VaxGen
+class VaxGen final : public Lowering
 {
   public:
     explicit VaxGen(const Program &program)
-        : prog_(program), layout_(layoutProgram(program))
+        : Lowering(program, "lang vaxgen")
     {
     }
 
-    CompiledProgram
-    run()
+  private:
+    void
+    emitStart() override
     {
         os_ << "; generated by lang::compileVax — CALLS memory-frame "
                "calling convention\n";
         emit("start:", "calls #0, f_main");
         emit("", "halt", "checksum = r0 = main's return value");
-        for (const auto &f : prog_.functions)
-            emitFunction(f);
-        emitData();
-        return {os_.str(), layout_};
-    }
-
-  private:
-    void
-    emit(const std::string &label, const std::string &text,
-         const std::string &comment = "")
-    {
-        os_ << label;
-        if (!text.empty()) {
-            if (label.size() < 8)
-                os_ << std::string(8 - label.size(), ' ');
-            os_ << text;
-        }
-        if (!comment.empty())
-            os_ << "\t; " << comment;
-        os_ << "\n";
-    }
-
-    void
-    emitLabel(const std::string &label, const std::string &comment = "")
-    {
-        emit(label + ":", "", comment);
-    }
-
-    std::string
-    newLabel()
-    {
-        return cat("Lx", labelN_++);
     }
 
     static std::string
@@ -105,29 +72,12 @@ class VaxGen
         return cat(kDataLabel, " + ", 4 * word);
     }
 
-    int
-    regOf(const std::string &name) const
-    {
-        const auto it = regOf_.find(name);
-        return it == regOf_.end() ? -1 : it->second;
-    }
-
     void
-    emitFunction(const Function &f)
+    emitFunction(const Function &f) override
     {
-        regOf_.clear();
         const std::size_t n = f.params.size();
-        for (std::size_t i = 0; i < n; ++i)
-            regOf_[f.params[i]] = kVarBase + static_cast<int>(i);
-        int nextLocal = kVarBase + static_cast<int>(n);
-        for (const auto &s : f.body)
-            if (s->kind == StmtKind::Local)
-                regOf_[s->name] = nextLocal++;
-
-        emitLabel(cat("f_", f.name),
-                  cat(n, " param(s), ",
-                      nextLocal - kVarBase - static_cast<int>(n),
-                      " local(s)"));
+        const int nextLocal =
+            enterFunction(f, kVarBase, kVarBase + static_cast<int>(n));
         emit("", ".mask 0x03fc", "save r2-r9");
         for (std::size_t i = 0; i < n; ++i)
             emit("", cat("movl  ", 4 * (n - i), "(ap), r",
@@ -142,14 +92,7 @@ class VaxGen
     }
 
     void
-    emitBody(const std::vector<std::unique_ptr<Stmt>> &body)
-    {
-        for (const auto &s : body)
-            emitStmt(*s);
-    }
-
-    void
-    emitStmt(const Stmt &s)
+    emitStmt(const Stmt &s) override
     {
         switch (s.kind) {
           case StmtKind::Local:
@@ -243,15 +186,6 @@ class VaxGen
             return;
         }
         panic("bad statement kind");
-    }
-
-    std::uint32_t
-    arraySize(const std::string &name) const
-    {
-        const int g = prog_.findGlobal(name);
-        if (g < 0 || !prog_.globals[static_cast<std::size_t>(g)].isArray)
-            fatal(cat("lang vaxgen: '", name, "' is not an array"));
-        return prog_.globals[static_cast<std::size_t>(g)].size;
     }
 
     /** Evaluate @p e, leaving its value on top of the CPU stack. */
@@ -427,45 +361,12 @@ class VaxGen
     void
     emitCall(const Expr &e)
     {
-        if (prog_.findFunction(e.name) < 0)
-            fatal(cat("lang vaxgen: call to undefined '", e.name,
-                      "'"));
+        checkCallee(e.name);
         for (const auto &a : e.args)
             emitExpr(*a);
         emit("", cat("calls #", e.args.size(), ", f_", e.name));
         emit("", "pushl r0", "result");
     }
-
-    void
-    emitData()
-    {
-        emit("", ".align 4");
-        bool first = true;
-        for (const auto &entry : layout_.entries) {
-            const std::string label = first ? cat(kDataLabel, ":") : "";
-            first = false;
-            if (entry.isArray) {
-                emit(label, cat(".space ", 4 * entry.words),
-                     cat(entry.name, "[", entry.words, "]"));
-            } else {
-                const int g = prog_.findGlobal(entry.name);
-                const std::uint32_t init =
-                    prog_.globals[static_cast<std::size_t>(g)].init;
-                emit(label, cat(".word ",
-                                static_cast<std::int32_t>(init)),
-                     entry.name);
-            }
-        }
-        emit(first ? cat(kDataLabel, ":") : "", ".word 0",
-             "out() count");
-        emit("", cat(".space ", 4 * kOutCap), "out() buffer");
-    }
-
-    const Program &prog_;
-    DataLayout layout_;
-    std::ostringstream os_;
-    int labelN_ = 0;
-    std::unordered_map<std::string, int> regOf_;
 };
 
 } // namespace

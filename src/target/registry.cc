@@ -1,8 +1,7 @@
 #include "target/registry.hh"
 
 #include "common/logging.hh"
-#include "target/risc_target.hh"
-#include "target/vax_target.hh"
+#include "target/machine_target.hh"
 #include "workloads/workloads.hh"
 
 namespace risc1::target {

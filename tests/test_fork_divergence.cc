@@ -22,9 +22,8 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "target/machine_target.hh"
 #include "target/registry.hh"
-#include "target/risc_target.hh"
-#include "target/vax_target.hh"
 
 namespace risc1 {
 namespace {

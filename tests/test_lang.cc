@@ -83,6 +83,8 @@ TEST(LangParser, RejectsIllFormedPrograms)
     // Unknown callee.
     EXPECT_THROW(parseProgram("int main() { return nope(); }"),
                  FatalError);
+    // Undeclared variable.
+    EXPECT_THROW(parseProgram("int main() { return x; }"), FatalError);
     // Arity mismatch.
     EXPECT_THROW(
         parseProgram("int f(int x) { return x; }"

@@ -176,6 +176,62 @@ TEST(LangCompile, OutOverflowBehavesIdentically)
     )");
 }
 
+TEST(LangCompile, ValuesMatchHandComputedResults)
+{
+    // Agreement alone would pass if all five executions were wrong the
+    // same way, so the out() trace is also held to literal values.
+    const Program program = parseProgram(R"(
+        int x = 0x12345678;
+        int y = 0x0f0f0f0f;
+        int a[4];
+        int main() {
+          a[0] = 10; a[1] = 20; a[2] = 30; a[3] = 40;
+          out(0xdeadbeef);
+          out(a[2]);
+          out((x + y)); out((x - y)); out((x & y)); out((x | y));
+          out((x ^ y));
+          out((x << 0)); out((x >> 0)); out((x << 1)); out((x >> 1));
+          out((x << 5)); out((x >> 5)); out((x << 7)); out((x >> 7));
+          out((0xffff0000 >> 4));
+          return 0;
+        }
+    )");
+    const DiffOutcome verdict = diffProgram(program);
+    EXPECT_TRUE(verdict.agreed) << verdict.report();
+    const std::vector<std::uint32_t> want = {
+        0xdeadbeef, 30,         0x21436587, 0x03254769, 0x02040608,
+        0x1f3f5f7f, 0x1d3b5977, 0x12345678, 0x12345678, 0x2468acf0,
+        0x091a2b3c, 0x468acf00, 0x0091a2b3, 0x1a2b3c00, 0x002468ac,
+        0x0ffff000,  // >> is logical: the VAX's ashl needs a mask
+    };
+    EXPECT_EQ(verdict.reference.obs.out, want);
+}
+
+TEST(LangCompile, TooDeepExpressionIsAFindingOnRiscOnly)
+{
+    // A 12-deep right-leaning sum holds 13 operands at once: more than
+    // RISC I's ten expression-stack registers (r16..r25), while the
+    // VAX evaluates on its memory stack.
+    std::string sum = "1";
+    for (int i = 0; i < 12; ++i)
+        sum = "(1 + " + sum + ")";
+    const Program program =
+        parseProgram("int main() { return " + sum + "; }");
+    try {
+        compileRisc(program);
+        ADD_FAILURE() << "compileRisc lowered a 13-operand expression";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "lang riscgen: expression too deep in 'main' "
+                  "(stack slot r26 > r25)");
+    }
+    EXPECT_NO_THROW(compileVax(program));
+    const DiffOutcome verdict = diffProgram(program);
+    ASSERT_EQ(verdict.runs.size(), 1u);
+    EXPECT_EQ(verdict.runs[0].config, "compile");
+    EXPECT_FALSE(verdict.agreed);
+}
+
 TEST(LangCompile, CompiledSourcesCarryTheSharedDataLabel)
 {
     const Program p = parseProgram(

@@ -309,10 +309,10 @@ TEST(MachineControl, EveryClassCountsOperandsCyclesAndSlots)
         // ALU 2+1+1+1+1 (nops read r0), loads 1+2, stores 2+3,
         // jmp 2, putpsw 1, reti 1, ret 1.
         EXPECT_EQ(s.regOperandReads, 20u);
-        // Every ALU/load/getpsw/gtlpc destination (11), plus two per
-        // call (4): the decoded rd write and doCall's return-address
-        // write, which count the same register write twice.
-        EXPECT_EQ(s.regOperandWrites, 15u);
+        // Every ALU/load/getpsw/gtlpc destination (11), plus each
+        // call's return-address write (2), counted once, as its
+        // decoded rd.
+        EXPECT_EQ(s.regOperandWrites, 13u);
         // After jmpr, jmp, callr, reti and ret; never after CALLI.
         EXPECT_EQ(s.delaySlotsExecuted, 5u);
         EXPECT_EQ(s.delaySlotNops, 4u);

@@ -212,7 +212,8 @@ TEST(ServerFrame, FuzzedStreamsNeverCrash)
             }
         }
         // Invariant: after an error the buffer is dropped.
-        if (reader.error() != FrameError::None)
+        if (reader.error() != FrameError::None) {
             EXPECT_EQ(reader.pendingBytes(), 0u);
+        }
     }
 }

@@ -19,9 +19,8 @@
 
 #include "common/json_value.hh"
 #include "server/protocol.hh"
+#include "target/machine_target.hh"
 #include "target/registry.hh"
-#include "target/risc_target.hh"
-#include "target/vax_target.hh"
 #include "workloads/workloads.hh"
 
 using namespace risc1;

@@ -15,8 +15,7 @@
 #include "sim/artifact.hh"
 #include "sim/engine.hh"
 #include "sim/jobfile.hh"
-#include "target/risc_target.hh"
-#include "target/vax_target.hh"
+#include "target/machine_target.hh"
 #include "vax/vassembler.hh"
 #include "workloads/workloads.hh"
 

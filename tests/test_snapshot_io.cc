@@ -14,10 +14,9 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "mem/config.hh"
+#include "target/machine_target.hh"
 #include "target/registry.hh"
-#include "target/risc_target.hh"
 #include "target/snapshot_io.hh"
-#include "target/vax_target.hh"
 #include "workloads/workloads.hh"
 
 using namespace risc1;

@@ -6,8 +6,6 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "target/registry.hh"
-#include "target/risc_target.hh"
-#include "target/vax_target.hh"
 #include "workloads/workloads.hh"
 
 namespace risc1 {
