@@ -147,8 +147,9 @@ echo "== server smoke: riscserved + riscload (docs/SERVER.md) =="
 # shutdown metrics dump), park 1024 sessions in it (4 connections x
 # 256), verify the load report — riscload itself scrapes `telemetry`,
 # gates the server-vs-client p99 cross-check, and measures registry
-# overhead — check that idle sessions really spooled to disk, then
-# check SIGTERM drains to exit 0 and wrote the exposition dump.
+# overhead — check that idle sessions really spooled to disk (counting
+# only *.snap files), then check SIGTERM drains to exit 0, left no
+# *.tmp spool temporary, and wrote the exposition dump.
 # Telemetry artifacts land in $BUILD/bench/out/ (uploaded by CI).
 # Paths stay relative to the repo root (Unix socket paths are capped
 # at ~107 bytes, so no absolute $PWD prefixes).
@@ -196,8 +197,9 @@ grep -q "^# TYPE riscserved_server_requests_total counter" \
 SCRAPED_REQS=$(awk '$1 == "riscserved_server_requests_total" \
     { print $2 }' "$SRV_SCRAPE")
 # The 1024 kept sessions go idle; the 300 ms TTL must spool them.
+# Only finished spool files count: a write in flight is a *.tmp.
 sleep 1
-SNAPS=$(ls "$SRV_SPOOL" 2>/dev/null | wc -l)
+SNAPS=$(find "$SRV_SPOOL" -name '*.snap' 2>/dev/null | wc -l)
 [ "$SNAPS" -gt 0 ] || {
     echo "TTL eviction produced no spool files in $SRV_SPOOL" >&2
     exit 1
@@ -207,6 +209,14 @@ kill -TERM "$SRV_PID"
 wait "$SRV_PID" || {
     echo "riscserved exited non-zero on SIGTERM" >&2
     cat "$SRV_LOG" >&2
+    exit 1
+}
+# Spool writes go to <id>.snap.tmp and are renamed into place, so a
+# temporary left after a clean shutdown is a write that neither
+# finished nor cleaned up after itself.
+STRAY_TMPS=$(find "$SRV_SPOOL" -name '*.tmp' 2>/dev/null | wc -l)
+[ "$STRAY_TMPS" -eq 0 ] || {
+    echo "$STRAY_TMPS spool temporaries left in $SRV_SPOOL" >&2
     exit 1
 }
 # Shutdown wrote the final dump; the requests counter must be

@@ -196,8 +196,6 @@ fillDelaySlots(const Program &program)
             // the moved instruction instead of branching: skip.
             if (fixed.contains(bAddr))
                 continue;
-            const std::uint32_t target =
-                bAddr + static_cast<std::uint32_t>(branch.imm19);
 
             // Scan upward for a movable instruction X with no
             // conflicts against anything between X and the branch.
@@ -211,7 +209,8 @@ fillDelaySlots(const Program &program)
 
                 // Nothing may jump into the shifted region
                 // [xAddr, bAddr]; the branch's own slot keeps its
-                // address.
+                // address.  Every jmpr target is in `fixed`, so this
+                // also keeps the branch from landing on moved code.
                 if (fixed.contains(xAddr))
                     break; // a label: code above is another block
 
@@ -242,8 +241,6 @@ fillDelaySlots(const Program &program)
                 for (const Effects &other : between)
                     if (conflicts(eff, other))
                         clean = false;
-                if (target == xAddr)
-                    clean = false; // branch would land on moved code
 
                 if (clean) {
                     // Shift [xOff+4 .. bOff) up one word, put the

@@ -9,13 +9,13 @@ namespace {
 
 /** Apply the warm-or-cold rule to one level slot. */
 void
-restoreLevel(std::optional<Level> &level,
+restoreLevel(std::string_view name, std::optional<Level> &level,
              const std::optional<LevelSnapshot> &snap)
 {
     if (!level)
         return;
     if (snap && level->compatible(snap->config))
-        level->restore(*snap);
+        level->restore(*snap, name);
     else
         level->reset();
 }
@@ -119,9 +119,9 @@ Hierarchy::snapshot() const
 void
 Hierarchy::restore(const HierarchySnapshot &snap)
 {
-    restoreLevel(l1i_, snap.l1i);
-    restoreLevel(l1d_, snap.l1d);
-    restoreLevel(l2_, snap.l2);
+    restoreLevel("l1i", l1i_, snap.l1i);
+    restoreLevel("l1d", l1d_, snap.l1d);
+    restoreLevel("l2", l2_, snap.l2);
 }
 
 } // namespace mem

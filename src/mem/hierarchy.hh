@@ -109,6 +109,8 @@ class Hierarchy
     /**
      * Per-level warm-or-cold restore: a level resumes warm from the
      * snapshot when its geometry matches, otherwise restarts cold.
+     * @throws FatalError naming the level when a matching level's
+     * snapshot does not hold one tag, valid and dirty entry per line.
      */
     void restore(const HierarchySnapshot &snap);
 

@@ -88,20 +88,27 @@ Level::compatible(const LevelConfig &config) const
 LevelSnapshot
 Level::snapshot() const
 {
-    return LevelSnapshot{config_, tags_,
-                         std::vector<bool>(valid_.begin(), valid_.end()),
-                         std::vector<bool>(dirty_.begin(), dirty_.end()),
-                         stats_};
+    return LevelSnapshot{config_, tags_, valid_, dirty_, stats_};
 }
 
 void
-Level::restore(const LevelSnapshot &snap)
+Level::restore(const LevelSnapshot &snap, std::string_view name)
 {
     if (!compatible(snap.config))
-        fatal("cache restore: snapshot geometry does not match");
+        fatal(cat("cache restore: ", name,
+                  " snapshot geometry does not match"));
+    // The hit path indexes these by line without a bounds check, so a
+    // snapshot decoded from a corrupt spool file must hold exactly one
+    // entry per line in each.
+    if (snap.tags.size() != numLines_ || snap.valid.size() != numLines_ ||
+        snap.dirty.size() != numLines_)
+        fatal(cat("cache restore: ", name, " snapshot has ",
+                  snap.tags.size(), " tags, ", snap.valid.size(),
+                  " valid and ", snap.dirty.size(), " dirty entries for ",
+                  numLines_, " lines"));
     tags_ = snap.tags;
-    valid_.assign(snap.valid.begin(), snap.valid.end());
-    dirty_.assign(snap.dirty.begin(), snap.dirty.end());
+    valid_ = snap.valid;
+    dirty_ = snap.dirty;
     stats_ = snap.stats;
 }
 

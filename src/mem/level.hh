@@ -11,6 +11,7 @@
 #define RISC1_MEM_LEVEL_HH
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 namespace risc1 {
@@ -26,7 +27,7 @@ enum class WritePolicy : std::uint8_t
      * Stores update the next level immediately; lines never become
      * dirty and eviction is free.  The write traffic is assumed to be
      * absorbed by a write buffer, so hits and misses cost the same as
-     * reads.  This is the legacy flat-CacheConfig behaviour.
+     * reads.
      */
     WriteThrough,
 
@@ -78,13 +79,16 @@ struct LevelStats
     void writeJson(JsonWriter &w) const;
 };
 
-/** Full level state captured by Level::snapshot(). */
+/**
+ * Full level state captured by Level::snapshot(): one tag, valid byte
+ * and dirty byte (each 0 or 1) per line, as the Level keeps them.
+ */
 struct LevelSnapshot
 {
     LevelConfig config;
     std::vector<std::uint32_t> tags;
-    std::vector<bool> valid;
-    std::vector<bool> dirty;
+    std::vector<std::uint8_t> valid;
+    std::vector<std::uint8_t> dirty;
     LevelStats stats;
 
     bool operator==(const LevelSnapshot &) const = default;
@@ -152,10 +156,12 @@ class Level
     LevelSnapshot snapshot() const;
 
     /**
-     * Restore a snapshot; @throws FatalError when the snapshot's
-     * geometry does not match this level's configuration.
+     * Restore a snapshot; @throws FatalError naming @p name (the
+     * level's place in the hierarchy, e.g. "l1d") when the snapshot's
+     * geometry does not match this level's configuration or its
+     * tag/valid/dirty vectors do not hold one entry per line.
      */
-    void restore(const LevelSnapshot &snap);
+    void restore(const LevelSnapshot &snap, std::string_view name);
 
     /** True when @p config matches this level's geometry and timing. */
     bool compatible(const LevelConfig &config) const;
@@ -167,7 +173,7 @@ class Level
     unsigned indexBits_;   ///< log2(numLines_)
     std::vector<std::uint32_t> tags_;
     /** Bytes, not vector<bool>: a byte test keeps the hit path small
-     *  enough to inline.  snapshot()/restore() convert. */
+     *  enough to inline. */
     std::vector<std::uint8_t> valid_;
     std::vector<std::uint8_t> dirty_;
     LevelStats stats_;

@@ -30,40 +30,6 @@ jobStatusName(JobStatus status)
     return "unknown";
 }
 
-void
-JobQueue::push(std::size_t index)
-{
-    {
-        std::lock_guard lock(mutex_);
-        if (closed_)
-            panic("JobQueue: push after close");
-        items_.push_back(index);
-    }
-    cv_.notify_one();
-}
-
-void
-JobQueue::close()
-{
-    {
-        std::lock_guard lock(mutex_);
-        closed_ = true;
-    }
-    cv_.notify_all();
-}
-
-bool
-JobQueue::pop(std::size_t &out)
-{
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty())
-        return false;
-    out = items_.front();
-    items_.pop_front();
-    return true;
-}
-
 unsigned
 resolveWorkers(const BatchOptions &options)
 {
@@ -325,11 +291,9 @@ runBatchReport(const std::vector<SimJob> &jobs, const BatchOptions &options)
     if (jobs.empty())
         return report;
 
-    JobQueue queue;
-    std::atomic<std::size_t> pending{jobs.size()};
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        queue.push(i);
-    queue.close();
+    // Every job is known up front, so a worker claims the next index
+    // with one atomic increment; no lock is taken per job.
+    std::atomic<std::size_t> next{0};
 
     const unsigned workers =
         std::min<std::size_t>(resolveWorkers(options), jobs.size());
@@ -343,14 +307,14 @@ runBatchReport(const std::vector<SimJob> &jobs, const BatchOptions &options)
     const auto batchStart = clock::now();
     auto drain = [&](unsigned lane) {
         auto &wm = report.metrics.perWorker[lane];
-        std::size_t index;
-        while (queue.pop(index)) {
-            const auto popped = clock::now();
-            const std::uint64_t depth =
-                pending.fetch_sub(1, std::memory_order_relaxed) - 1;
+        for (std::size_t index = next++; index < jobs.size();
+             index = next++) {
+            const auto claimed = clock::now();
+            // Jobs not yet claimed once this one is.
+            const std::uint64_t depth = jobs.size() - 1 - index;
             {
                 std::lock_guard lock(sampleMutex);
-                samples.push_back({msSince(batchStart, popped), depth});
+                samples.push_back({msSince(batchStart, claimed), depth});
             }
 
             const double cpu0 = threadCpuMs();
@@ -374,9 +338,9 @@ runBatchReport(const std::vector<SimJob> &jobs, const BatchOptions &options)
 
             auto &jm = res.metrics;
             jm.worker = lane;
-            jm.queueWaitMs = msSince(batchStart, popped);
+            jm.queueWaitMs = msSince(batchStart, claimed);
             jm.startMs = jm.queueWaitMs;
-            jm.wallMs = msSince(popped, done);
+            jm.wallMs = msSince(claimed, done);
             jm.cpuMs = std::max(0.0, threadCpuMs() - cpu0);
             if (jm.wallMs > 0.0)
                 jm.stepsPerSec = double(res.steps) / (jm.wallMs / 1e3);

@@ -1,9 +1,13 @@
 #include "target/snapshot_io.hh"
 
-#include <algorithm>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 
 #include "common/logging.hh"
 #include "target/machine_target.hh"
@@ -17,49 +21,58 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4e533152; // "R1SN" little-endian
 constexpr std::uint16_t kVersion = 1;
 
-/** Append-only little-endian encoder. */
-class Enc
+/**
+ * The format is one io*(ar, s) walk per serialized struct: this
+ * append-only encoder runs it over a const struct, Reader over a fresh
+ * one.  Each primitive names its wire width, little-endian throughout.
+ */
+class Writer
 {
   public:
     std::vector<std::uint8_t> out;
 
+    template <class T> void u8(const T &v) { append<1>(v); }
+    template <class T> void u16(const T &v) { append<2>(v); }
+    template <class T> void u32(const T &v) { append<4>(v); }
+    template <class T> void u64(const T &v) { append<8>(v); }
+    void boolean(bool v) { out.push_back(v ? 1 : 0); }
+
+    template <class E>
     void
-    u8(std::uint8_t v)
+    enumU8(E v, E /*max*/, const char * /*what*/)
     {
-        out.push_back(v);
+        out.push_back(static_cast<std::uint8_t>(v));
     }
 
+    /** A u32 count, then each element. */
+    template <class T, class F>
     void
-    u16(std::uint16_t v)
+    list(const std::vector<T> &v, std::size_t /*minBytes*/, F &&each)
     {
-        u8(std::uint8_t(v));
-        u8(std::uint8_t(v >> 8));
+        u32(std::uint32_t(v.size()));
+        for (const T &x : v)
+            each(x);
     }
 
+    /** A presence bool, then the value if present. */
+    template <class T, class F>
     void
-    u32(std::uint32_t v)
+    optional(const std::optional<T> &v, F &&each)
     {
-        u16(std::uint16_t(v));
-        u16(std::uint16_t(v >> 16));
+        boolean(v.has_value());
+        if (v)
+            each(*v);
     }
 
+    /** base, then the length-prefixed valid bytes, straight from the
+     *  shared page handle: writing a snapshot never copies a page. */
     void
-    u64(std::uint64_t v)
+    page(const MemoryImage::Entry &entry)
     {
-        u32(std::uint32_t(v));
-        u32(std::uint32_t(v >> 32));
-    }
-
-    void
-    i64(std::int64_t v)
-    {
-        u64(static_cast<std::uint64_t>(v));
-    }
-
-    void
-    boolean(bool v)
-    {
-        u8(v ? 1 : 0);
+        u32(entry.base);
+        u32(entry.length);
+        out.insert(out.end(), entry.page->bytes.data(),
+                   entry.page->bytes.data() + entry.length);
     }
 
     void
@@ -69,96 +82,100 @@ class Enc
         out.insert(out.end(), s.begin(), s.end());
     }
 
+  private:
+    template <unsigned N, class T>
     void
-    bytes(const std::vector<std::uint8_t> &v)
+    append(const T &v)
     {
-        u32(std::uint32_t(v.size()));
-        out.insert(out.end(), v.begin(), v.end());
+        static_assert(sizeof(T) == N, "field width is not its wire width");
+        for (unsigned i = 0; i < N; ++i)
+            out.push_back(std::uint8_t(std::uint64_t(v) >> (8 * i)));
     }
 };
 
-/** Bounds-checked little-endian decoder over untrusted input. */
-class Dec
+/**
+ * Bounds-checked little-endian decoder over untrusted input: every
+ * structural problem is a FatalError naming it, never undefined
+ * behaviour, and no length can ask for more than the input holds.
+ */
+class Reader
 {
   public:
-    Dec(const std::uint8_t *data, std::size_t size)
+    Reader(const std::uint8_t *data, std::size_t size)
         : data_(data), size_(size)
     {
     }
 
-    std::uint8_t
-    u8()
-    {
-        need(1);
-        return data_[pos_++];
-    }
+    template <class T> void u8(T &v) { read<1>(v); }
+    template <class T> void u16(T &v) { read<2>(v); }
+    template <class T> void u32(T &v) { read<4>(v); }
+    template <class T> void u64(T &v) { read<8>(v); }
 
-    std::uint16_t
-    u16()
+    /** A bool byte, which must be 0 or 1 (into a bool or a 0/1 byte). */
+    template <class T>
+    void
+    boolean(T &v)
     {
-        const std::uint16_t lo = u8();
-        return std::uint16_t(lo | (std::uint16_t(u8()) << 8));
-    }
-
-    std::uint32_t
-    u32()
-    {
-        const std::uint32_t lo = u16();
-        return lo | (std::uint32_t(u16()) << 16);
-    }
-
-    std::uint64_t
-    u64()
-    {
-        const std::uint64_t lo = u32();
-        return lo | (std::uint64_t(u32()) << 32);
-    }
-
-    std::int64_t
-    i64()
-    {
-        return static_cast<std::int64_t>(u64());
-    }
-
-    bool
-    boolean()
-    {
-        const std::uint8_t v = u8();
-        if (v > 1)
-            fatal(cat("snapshot decode: bad bool ", unsigned(v),
+        const std::uint64_t raw = take(1);
+        if (raw > 1)
+            fatal(cat("snapshot decode: bad bool ", unsigned(raw),
                       " at byte ", pos_ - 1));
-        return v != 0;
+        v = static_cast<T>(raw);
     }
 
-    /** A length prefix that must fit in the remaining input. */
-    std::size_t
-    length(std::size_t elemBytes)
+    /** An enum byte, which must not exceed @p max. */
+    template <class E>
+    void
+    enumU8(E &v, E max, const char *what)
     {
-        const std::uint32_t n = u32();
-        if (elemBytes != 0 && n > (size_ - pos_) / elemBytes)
-            fatal(cat("snapshot decode: length ", n,
-                      " exceeds remaining input at byte ", pos_));
-        return n;
+        const std::uint64_t raw = take(1);
+        if (raw > static_cast<std::uint64_t>(max))
+            fatal(cat("snapshot decode: bad ", what, " ", unsigned(raw)));
+        v = static_cast<E>(raw);
+    }
+
+    /** A count, each element taking at least @p minBytes on the wire. */
+    template <class T, class F>
+    void
+    list(std::vector<T> &v, std::size_t minBytes, F &&each)
+    {
+        v.resize(length(minBytes));
+        for (T &x : v)
+            each(x);
+    }
+
+    template <class T, class F>
+    void
+    optional(std::optional<T> &v, F &&each)
+    {
+        bool present = false;
+        boolean(present);
+        if (present)
+            each(v.emplace());
+    }
+
+    /** A page entry, its bytes read straight into a new Page. */
+    void
+    page(MemoryImage::Entry &entry)
+    {
+        u32(entry.base);
+        const std::size_t n = length(1);
+        if (n == 0 || n > Page::size)
+            fatal(cat("snapshot decode: bad page length ", n, " at 0x",
+                      std::hex, entry.base));
+        auto page = std::make_shared<Page>();
+        std::memcpy(page->bytes.data(), data_ + pos_, n);
+        pos_ += n;
+        entry = {entry.base, std::uint32_t(n), std::move(page)};
     }
 
     std::string
     str()
     {
         const std::size_t n = length(1);
-        need(n);
         std::string s(reinterpret_cast<const char *>(data_ + pos_), n);
         pos_ += n;
         return s;
-    }
-
-    std::vector<std::uint8_t>
-    bytes()
-    {
-        const std::size_t n = length(1);
-        need(n);
-        std::vector<std::uint8_t> v(data_ + pos_, data_ + pos_ + n);
-        pos_ += n;
-        return v;
     }
 
     void
@@ -170,11 +187,35 @@ class Dec
     }
 
   private:
-    void
-    need(std::size_t n)
+    /** A u32 length prefix that must fit in the remaining input. */
+    std::size_t
+    length(std::size_t minBytes)
     {
-        if (size_ - pos_ < n)
-            fatal(cat("snapshot decode: truncated at byte ", pos_));
+        std::uint32_t n = 0;
+        u32(n);
+        if (n > (size_ - pos_) / minBytes)
+            fatal(cat("snapshot decode: length ", n,
+                      " exceeds remaining input at byte ", pos_));
+        return n;
+    }
+
+    template <unsigned N, class T>
+    void
+    read(T &v)
+    {
+        static_assert(sizeof(T) == N, "field width is not its wire width");
+        v = static_cast<T>(take(N));
+    }
+
+    std::uint64_t
+    take(unsigned bytes)
+    {
+        if (size_ - pos_ < bytes) // names the first missing byte
+            fatal(cat("snapshot decode: truncated at byte ", size_));
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < bytes; ++i)
+            v |= std::uint64_t(data_[pos_++]) << (8 * i);
+        return v;
     }
 
     const std::uint8_t *data_;
@@ -184,376 +225,173 @@ class Dec
 
 // -- Shared sub-structs ------------------------------------------------
 
+template <class Ar, class S>
 void
-putMemStats(Enc &e, const MemoryStats &s)
+ioMemStats(Ar &ar, S &s)
 {
-    e.u64(s.reads);
-    e.u64(s.writes);
-    e.u64(s.fetches);
-    e.u64(s.bytesRead);
-    e.u64(s.bytesWritten);
+    ar.u64(s.reads);
+    ar.u64(s.writes);
+    ar.u64(s.fetches);
+    ar.u64(s.bytesRead);
+    ar.u64(s.bytesWritten);
 }
 
-MemoryStats
-getMemStats(Dec &d)
-{
-    MemoryStats s;
-    s.reads = d.u64();
-    s.writes = d.u64();
-    s.fetches = d.u64();
-    s.bytesRead = d.u64();
-    s.bytesWritten = d.u64();
-    return s;
-}
-
+template <class Ar, class S>
 void
-putPages(Enc &e, const MemoryImage &image)
+ioPages(Ar &ar, S &image)
 {
-    // Serialized straight from the shared page handles — capturing a
-    // snapshot and writing it to the spool never materializes a
-    // private copy of the content.  Byte format is unchanged from the
-    // deep-copy era: count, then per page base + length-prefixed
-    // bytes (a trailing partial page writes only its valid prefix).
-    e.u32(std::uint32_t(image.entries.size()));
-    for (const auto &entry : image.entries) {
-        e.u32(entry.base);
-        e.u32(entry.length);
-        e.out.insert(e.out.end(), entry.page->bytes.data(),
-                     entry.page->bytes.data() + entry.length);
-    }
+    ar.list(image.entries, 8 /* base + length */,
+            [&](auto &entry) { ar.page(entry); });
 }
 
-MemoryImage
-getPages(Dec &d)
-{
-    // Each page contributes at least base (4) + length (4) bytes.
-    const std::size_t n = d.length(8);
-    MemoryImage image;
-    image.entries.resize(n);
-    for (auto &entry : image.entries) {
-        entry.base = d.u32();
-        const std::vector<std::uint8_t> content = d.bytes();
-        if (content.empty() || content.size() > Page::size)
-            fatal(cat("snapshot decode: bad page length ",
-                      content.size(), " at 0x", std::hex, entry.base));
-        entry.length = std::uint32_t(content.size());
-        auto page = std::make_shared<Page>();
-        std::copy(content.begin(), content.end(), page->bytes.begin());
-        entry.page = std::move(page);
-    }
-    return image;
-}
-
+template <class Ar, class S>
 void
-putLevel(Enc &e, const std::optional<mem::LevelSnapshot> &level)
+ioCondCodes(Ar &ar, S &cc)
 {
-    e.boolean(level.has_value());
-    if (!level)
-        return;
-    e.u32(level->config.sizeBytes);
-    e.u32(level->config.lineBytes);
-    e.u32(level->config.missPenaltyCycles);
-    e.u8(static_cast<std::uint8_t>(level->config.policy));
-    e.u32(std::uint32_t(level->tags.size()));
-    for (const std::uint32_t tag : level->tags)
-        e.u32(tag);
-    e.u32(std::uint32_t(level->valid.size()));
-    for (const bool b : level->valid)
-        e.boolean(b);
-    e.u32(std::uint32_t(level->dirty.size()));
-    for (const bool b : level->dirty)
-        e.boolean(b);
-    e.u64(level->stats.hits);
-    e.u64(level->stats.misses);
-    e.u64(level->stats.writebacks);
-    e.u64(level->stats.penaltyCycles);
+    ar.boolean(cc.n);
+    ar.boolean(cc.z);
+    ar.boolean(cc.v);
+    ar.boolean(cc.c);
 }
 
-std::optional<mem::LevelSnapshot>
-getLevel(Dec &d)
-{
-    if (!d.boolean())
-        return std::nullopt;
-    mem::LevelSnapshot level;
-    level.config.sizeBytes = d.u32();
-    level.config.lineBytes = d.u32();
-    level.config.missPenaltyCycles = d.u32();
-    const std::uint8_t policy = d.u8();
-    if (policy > static_cast<std::uint8_t>(mem::WritePolicy::WriteBack))
-        fatal(cat("snapshot decode: bad write policy ", unsigned(policy)));
-    level.config.policy = static_cast<mem::WritePolicy>(policy);
-    level.tags.resize(d.length(4));
-    for (auto &tag : level.tags)
-        tag = d.u32();
-    level.valid.resize(d.length(1));
-    for (std::size_t i = 0; i < level.valid.size(); ++i)
-        level.valid[i] = d.boolean();
-    level.dirty.resize(d.length(1));
-    for (std::size_t i = 0; i < level.dirty.size(); ++i)
-        level.dirty[i] = d.boolean();
-    level.stats.hits = d.u64();
-    level.stats.misses = d.u64();
-    level.stats.writebacks = d.u64();
-    level.stats.penaltyCycles = d.u64();
-    return level;
-}
-
+template <class Ar, class S>
 void
-putHierarchy(Enc &e, const mem::HierarchySnapshot &h)
+ioLevel(Ar &ar, S &level)
 {
-    putLevel(e, h.l1i);
-    putLevel(e, h.l1d);
-    putLevel(e, h.l2);
+    ar.u32(level.config.sizeBytes);
+    ar.u32(level.config.lineBytes);
+    ar.u32(level.config.missPenaltyCycles);
+    ar.enumU8(level.config.policy, mem::WritePolicy::WriteBack,
+              "write policy");
+    ar.list(level.tags, 4, [&](auto &tag) { ar.u32(tag); });
+    ar.list(level.valid, 1, [&](auto &bit) { ar.boolean(bit); });
+    ar.list(level.dirty, 1, [&](auto &bit) { ar.boolean(bit); });
+    ar.u64(level.stats.hits);
+    ar.u64(level.stats.misses);
+    ar.u64(level.stats.writebacks);
+    ar.u64(level.stats.penaltyCycles);
 }
 
-mem::HierarchySnapshot
-getHierarchy(Dec &d)
+template <class Ar, class S>
+void
+ioHierarchy(Ar &ar, S &h)
 {
-    mem::HierarchySnapshot h;
-    h.l1i = getLevel(d);
-    h.l1d = getLevel(d);
-    h.l2 = getLevel(d);
-    return h;
+    const auto level = [&](auto &l) { ioLevel(ar, l); };
+    ar.optional(h.l1i, level);
+    ar.optional(h.l1d, level);
+    ar.optional(h.l2, level);
 }
 
 // -- RISC I backend ----------------------------------------------------
 
+template <class Ar, class S>
 void
-putRunStats(Enc &e, const RunStats &s)
+ioRunStats(Ar &ar, S &s)
 {
-    e.u64(s.cycles);
-    e.u64(s.instructions);
-    for (const std::uint64_t v : s.perOpcode)
-        e.u64(v);
-    for (const std::uint64_t v : s.perClass)
-        e.u64(v);
-    e.u64(s.takenTransfers);
-    e.u64(s.untakenJumps);
-    e.u64(s.delaySlotsExecuted);
-    e.u64(s.delaySlotNops);
-    e.u64(s.calls);
-    e.u64(s.returns);
-    e.u64(s.windowOverflows);
-    e.u64(s.windowUnderflows);
-    e.i64(s.callDepth);
-    e.i64(s.maxCallDepth);
-    e.u64(s.loadCount);
-    e.u64(s.storeCount);
-    e.u64(s.spillWords);
-    e.u64(s.fillWords);
-    e.u64(s.softSaveWords);
-    e.u64(s.softRestoreWords);
-    e.u64(s.regOperandReads);
-    e.u64(s.regOperandWrites);
-}
-
-RunStats
-getRunStats(Dec &d)
-{
-    RunStats s;
-    s.cycles = d.u64();
-    s.instructions = d.u64();
+    ar.u64(s.cycles);
+    ar.u64(s.instructions);
     for (auto &v : s.perOpcode)
-        v = d.u64();
+        ar.u64(v);
     for (auto &v : s.perClass)
-        v = d.u64();
-    s.takenTransfers = d.u64();
-    s.untakenJumps = d.u64();
-    s.delaySlotsExecuted = d.u64();
-    s.delaySlotNops = d.u64();
-    s.calls = d.u64();
-    s.returns = d.u64();
-    s.windowOverflows = d.u64();
-    s.windowUnderflows = d.u64();
-    s.callDepth = d.i64();
-    s.maxCallDepth = d.i64();
-    s.loadCount = d.u64();
-    s.storeCount = d.u64();
-    s.spillWords = d.u64();
-    s.fillWords = d.u64();
-    s.softSaveWords = d.u64();
-    s.softRestoreWords = d.u64();
-    s.regOperandReads = d.u64();
-    s.regOperandWrites = d.u64();
-    return s;
+        ar.u64(v);
+    ar.u64(s.takenTransfers);
+    ar.u64(s.untakenJumps);
+    ar.u64(s.delaySlotsExecuted);
+    ar.u64(s.delaySlotNops);
+    ar.u64(s.calls);
+    ar.u64(s.returns);
+    ar.u64(s.windowOverflows);
+    ar.u64(s.windowUnderflows);
+    ar.u64(s.callDepth);    // two's complement
+    ar.u64(s.maxCallDepth);
+    ar.u64(s.loadCount);
+    ar.u64(s.storeCount);
+    ar.u64(s.spillWords);
+    ar.u64(s.fillWords);
+    ar.u64(s.softSaveWords);
+    ar.u64(s.softRestoreWords);
+    ar.u64(s.regOperandReads);
+    ar.u64(s.regOperandWrites);
 }
 
+template <class Ar, class S>
 void
-putRisc(Enc &e, const MachineSnapshot &s)
+ioRisc(Ar &ar, S &s)
 {
-    e.u32(s.windows.numGlobals);
-    e.u32(s.windows.numLocals);
-    e.u32(s.windows.overlap);
-    e.u32(s.windows.numWindows);
-    e.u64(s.memorySize);
-    e.boolean(s.windowedCalls);
+    ar.u32(s.windows.numGlobals);
+    ar.u32(s.windows.numLocals);
+    ar.u32(s.windows.overlap);
+    ar.u32(s.windows.numWindows);
+    ar.u64(s.memorySize);
+    ar.boolean(s.windowedCalls);
 
-    e.u32(std::uint32_t(s.physRegs.size()));
-    for (const std::uint32_t r : s.physRegs)
-        e.u32(r);
-    e.u32(s.cwp);
-    e.boolean(s.psw.cc.n);
-    e.boolean(s.psw.cc.z);
-    e.boolean(s.psw.cc.v);
-    e.boolean(s.psw.cc.c);
-    e.boolean(s.psw.intEnable);
-    e.u8(s.psw.cwp);
-    e.u8(s.psw.swp);
-    e.u32(s.pc);
-    e.u32(s.npc);
-    e.u32(s.lastPc);
-    e.boolean(s.halted);
-    e.boolean(s.inDelaySlot);
-    e.boolean(s.hasNpcOverride);
-    e.u32(s.npcOverride);
-    e.u32(s.resident);
-    e.u32(s.saved);
-    e.u32(s.spillSp);
-    e.u32(s.softSp);
-    e.boolean(s.interruptPending);
-    e.u32(s.interruptVector);
-    e.u64(s.interruptsTaken);
+    ar.list(s.physRegs, 4, [&](auto &r) { ar.u32(r); });
+    ar.u32(s.cwp);
+    ioCondCodes(ar, s.psw.cc);
+    ar.boolean(s.psw.intEnable);
+    ar.u8(s.psw.cwp);
+    ar.u8(s.psw.swp);
+    ar.u32(s.pc);
+    ar.u32(s.npc);
+    ar.u32(s.lastPc);
+    ar.boolean(s.halted);
+    ar.boolean(s.inDelaySlot);
+    ar.boolean(s.hasNpcOverride);
+    ar.u32(s.npcOverride);
+    ar.u32(s.resident);
+    ar.u32(s.saved);
+    ar.u32(s.spillSp);
+    ar.u32(s.softSp);
+    ar.boolean(s.interruptPending);
+    ar.u32(s.interruptVector);
+    ar.u64(s.interruptsTaken);
 
-    putRunStats(e, s.stats);
-    putMemStats(e, s.memStats);
-    e.u32(std::uint32_t(s.callTrace.size()));
-    for (const CallEvent ev : s.callTrace)
-        e.u8(static_cast<std::uint8_t>(ev));
+    ioRunStats(ar, s.stats);
+    ioMemStats(ar, s.memStats);
+    ar.list(s.callTrace, 1, [&](auto &ev) {
+        ar.enumU8(ev, CallEvent::Return, "call event");
+    });
 
-    putPages(e, s.pages);
-    putHierarchy(e, s.caches);
-}
-
-MachineSnapshot
-getRisc(Dec &d)
-{
-    MachineSnapshot s;
-    s.windows.numGlobals = d.u32();
-    s.windows.numLocals = d.u32();
-    s.windows.overlap = d.u32();
-    s.windows.numWindows = d.u32();
-    s.memorySize = d.u64();
-    s.windowedCalls = d.boolean();
-
-    s.physRegs.resize(d.length(4));
-    for (auto &r : s.physRegs)
-        r = d.u32();
-    s.cwp = d.u32();
-    s.psw.cc.n = d.boolean();
-    s.psw.cc.z = d.boolean();
-    s.psw.cc.v = d.boolean();
-    s.psw.cc.c = d.boolean();
-    s.psw.intEnable = d.boolean();
-    s.psw.cwp = d.u8();
-    s.psw.swp = d.u8();
-    s.pc = d.u32();
-    s.npc = d.u32();
-    s.lastPc = d.u32();
-    s.halted = d.boolean();
-    s.inDelaySlot = d.boolean();
-    s.hasNpcOverride = d.boolean();
-    s.npcOverride = d.u32();
-    s.resident = d.u32();
-    s.saved = d.u32();
-    s.spillSp = d.u32();
-    s.softSp = d.u32();
-    s.interruptPending = d.boolean();
-    s.interruptVector = d.u32();
-    s.interruptsTaken = d.u64();
-
-    s.stats = getRunStats(d);
-    s.memStats = getMemStats(d);
-    s.callTrace.resize(d.length(1));
-    for (auto &ev : s.callTrace) {
-        const std::uint8_t raw = d.u8();
-        if (raw > static_cast<std::uint8_t>(CallEvent::Return))
-            fatal(cat("snapshot decode: bad call event ", unsigned(raw)));
-        ev = static_cast<CallEvent>(raw);
-    }
-
-    s.pages = getPages(d);
-    s.caches = getHierarchy(d);
-    return s;
+    ioPages(ar, s.pages);
+    ioHierarchy(ar, s.caches);
 }
 
 // -- VAX backend -------------------------------------------------------
 
+template <class Ar, class S>
 void
-putVaxStats(Enc &e, const VaxStats &s)
+ioVaxStats(Ar &ar, S &s)
 {
-    e.u64(s.cycles);
-    e.u64(s.instructions);
-    for (const std::uint64_t v : s.perClass)
-        e.u64(v);
-    e.u64(s.branchesTaken);
-    e.u64(s.branchesUntaken);
-    e.u64(s.calls);
-    e.u64(s.returns);
-    e.i64(s.callDepth);
-    e.i64(s.maxCallDepth);
-    e.u64(s.memOperandReads);
-    e.u64(s.memOperandWrites);
-    e.u64(s.regOperandReads);
-    e.u64(s.regOperandWrites);
-    e.u64(s.instrBytes);
-}
-
-VaxStats
-getVaxStats(Dec &d)
-{
-    VaxStats s;
-    s.cycles = d.u64();
-    s.instructions = d.u64();
+    ar.u64(s.cycles);
+    ar.u64(s.instructions);
     for (auto &v : s.perClass)
-        v = d.u64();
-    s.branchesTaken = d.u64();
-    s.branchesUntaken = d.u64();
-    s.calls = d.u64();
-    s.returns = d.u64();
-    s.callDepth = d.i64();
-    s.maxCallDepth = d.i64();
-    s.memOperandReads = d.u64();
-    s.memOperandWrites = d.u64();
-    s.regOperandReads = d.u64();
-    s.regOperandWrites = d.u64();
-    s.instrBytes = d.u64();
-    return s;
+        ar.u64(v);
+    ar.u64(s.branchesTaken);
+    ar.u64(s.branchesUntaken);
+    ar.u64(s.calls);
+    ar.u64(s.returns);
+    ar.u64(s.callDepth);    // two's complement
+    ar.u64(s.maxCallDepth);
+    ar.u64(s.memOperandReads);
+    ar.u64(s.memOperandWrites);
+    ar.u64(s.regOperandReads);
+    ar.u64(s.regOperandWrites);
+    ar.u64(s.instrBytes);
 }
 
+template <class Ar, class S>
 void
-putVax(Enc &e, const VaxSnapshot &s)
+ioVax(Ar &ar, S &s)
 {
-    e.u64(s.memorySize);
-    for (const std::uint32_t r : s.regs)
-        e.u32(r);
-    e.boolean(s.cc.n);
-    e.boolean(s.cc.z);
-    e.boolean(s.cc.v);
-    e.boolean(s.cc.c);
-    e.boolean(s.halted);
-    putVaxStats(e, s.stats);
-    putMemStats(e, s.memStats);
-    putPages(e, s.pages);
-    putHierarchy(e, s.caches);
-}
-
-VaxSnapshot
-getVax(Dec &d)
-{
-    VaxSnapshot s;
-    s.memorySize = d.u64();
+    ar.u64(s.memorySize);
     for (auto &r : s.regs)
-        r = d.u32();
-    s.cc.n = d.boolean();
-    s.cc.z = d.boolean();
-    s.cc.v = d.boolean();
-    s.cc.c = d.boolean();
-    s.halted = d.boolean();
-    s.stats = getVaxStats(d);
-    s.memStats = getMemStats(d);
-    s.pages = getPages(d);
-    s.caches = getHierarchy(d);
-    return s;
+        ar.u32(r);
+    ioCondCodes(ar, s.cc);
+    ar.boolean(s.halted);
+    ioVaxStats(ar, s.stats);
+    ioMemStats(ar, s.memStats);
+    ioPages(ar, s.pages);
+    ioHierarchy(ar, s.caches);
 }
 
 } // namespace
@@ -561,38 +399,46 @@ getVax(Dec &d)
 std::vector<std::uint8_t>
 serializeSnapshot(const TargetSnapshot &snap)
 {
-    Enc e;
-    e.u32(kMagic);
-    e.u16(kVersion);
-    e.str(snap.backend());
+    Writer w;
+    w.u32(kMagic);
+    w.u16(kVersion);
+    w.str(snap.backend());
     if (const auto *risc = dynamic_cast<const RiscTargetSnapshot *>(&snap))
-        putRisc(e, risc->machineSnapshot());
+        ioRisc(w, risc->machineSnapshot());
     else if (const auto *vax = dynamic_cast<const VaxTargetSnapshot *>(&snap))
-        putVax(e, vax->machineSnapshot());
+        ioVax(w, vax->machineSnapshot());
     else
         fatal(cat("serializeSnapshot: unsupported backend '",
                   snap.backend(), "'"));
-    return std::move(e.out);
+    return std::move(w.out);
 }
 
 std::shared_ptr<const TargetSnapshot>
 deserializeSnapshot(const std::uint8_t *data, std::size_t size)
 {
-    Dec d(data, size);
-    if (d.u32() != kMagic)
+    Reader r(data, size);
+    std::uint32_t magic = 0;
+    r.u32(magic);
+    if (magic != kMagic)
         fatal("snapshot decode: bad magic");
-    const std::uint16_t version = d.u16();
+    std::uint16_t version = 0;
+    r.u16(version);
     if (version != kVersion)
         fatal(cat("snapshot decode: unsupported version ", version));
-    const std::string backend = d.str();
+    const std::string backend = r.str();
     std::shared_ptr<const TargetSnapshot> snap;
-    if (backend == "risc")
-        snap = std::make_shared<RiscTargetSnapshot>(getRisc(d));
-    else if (backend == "vax")
-        snap = std::make_shared<VaxTargetSnapshot>(getVax(d));
-    else
+    if (backend == "risc") {
+        MachineSnapshot s;
+        ioRisc(r, s);
+        snap = std::make_shared<RiscTargetSnapshot>(std::move(s));
+    } else if (backend == "vax") {
+        VaxSnapshot s;
+        ioVax(r, s);
+        snap = std::make_shared<VaxTargetSnapshot>(std::move(s));
+    } else {
         fatal(cat("snapshot decode: unknown backend '", backend, "'"));
-    d.finish();
+    }
+    r.finish();
     return snap;
 }
 
@@ -605,14 +451,39 @@ deserializeSnapshot(const std::vector<std::uint8_t> &bytes)
 void
 writeSnapshotFile(const std::string &path, const TargetSnapshot &snap)
 {
+    // Write <path>.tmp, make it durable, then rename it over @p path:
+    // a failure at any step leaves the earlier file whole, and a
+    // reader never sees a partial one.
     const std::vector<std::uint8_t> bytes = serializeSnapshot(snap);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        fatal(cat("cannot open snapshot file for writing: ", path));
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              std::streamsize(bytes.size()));
-    if (!out)
-        fatal(cat("short write to snapshot file: ", path));
+    const std::string tmp = path + ".tmp";
+    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                    0644);
+    const auto fail = [&](std::string_view what) {
+        const int err = errno;
+        if (fd >= 0)
+            ::close(fd);
+        ::unlink(tmp.c_str());
+        fatal(cat(what, tmp, ": ", std::strerror(err)));
+    };
+    if (fd < 0)
+        fail("cannot open snapshot file for writing: ");
+    for (std::size_t done = 0; done < bytes.size();) {
+        const ::ssize_t n =
+            ::write(fd, bytes.data() + done, bytes.size() - done);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            fail("short write to snapshot file: ");
+        done += std::size_t(n);
+    }
+    if (::fsync(fd) != 0)
+        fail("cannot fsync snapshot file: ");
+    const int closed = ::close(fd);
+    fd = -1;
+    if (closed != 0)
+        fail("cannot close snapshot file: ");
+    if (::rename(tmp.c_str(), path.c_str()) != 0)
+        fail(cat("cannot rename snapshot file over ", path, ": "));
 }
 
 std::shared_ptr<const TargetSnapshot>

@@ -46,8 +46,11 @@ std::shared_ptr<const TargetSnapshot>
 deserializeSnapshot(const std::vector<std::uint8_t> &bytes);
 
 /**
- * Write @p snap to @p path (directories are not created — the caller
- * owns the spool layout).  @throws FatalError on I/O failure.
+ * Write @p snap to @p path atomically: the bytes go to `<path>.tmp`,
+ * which is fsynced, closed and renamed over @p path.  Directories are
+ * not created — the caller owns the spool layout.  @throws FatalError
+ * with the errno text on I/O failure, after removing the temporary;
+ * an earlier file at @p path is then left as it was.
  */
 void writeSnapshotFile(const std::string &path, const TargetSnapshot &snap);
 

@@ -109,6 +109,40 @@ TEST(MemHierarchy, SnapshotRestoreRoundTrip)
     EXPECT_TRUE(a.snapshot() == b.snapshot());
 }
 
+TEST(MemHierarchy, RestoreRejectsVectorsNotOnePerLine)
+{
+    // The hit path indexes tags/valid/dirty by line with no bounds
+    // check, so a matching level whose snapshot is short by even one
+    // entry in any of them must be refused, naming the level.
+    mem::Hierarchy a(smallTwoLevel());
+    a.data(0x2000, true);
+    const mem::HierarchySnapshot good = a.snapshot();
+    const auto rejects = [&](auto shorten, const std::string &what) {
+        mem::HierarchySnapshot bad = good;
+        shorten(*bad.l1d);
+        mem::Hierarchy b(smallTwoLevel());
+        try {
+            b.restore(bad);
+            ADD_FAILURE() << "accepted: " << what;
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()), what);
+        }
+    };
+    rejects([](mem::LevelSnapshot &l) { l.tags.pop_back(); },
+            "cache restore: l1d snapshot has 7 tags, 8 valid and 8 "
+            "dirty entries for 8 lines");
+    rejects([](mem::LevelSnapshot &l) { l.valid.pop_back(); },
+            "cache restore: l1d snapshot has 8 tags, 7 valid and 8 "
+            "dirty entries for 8 lines");
+    rejects([](mem::LevelSnapshot &l) { l.dirty.push_back(0); },
+            "cache restore: l1d snapshot has 8 tags, 8 valid and 9 "
+            "dirty entries for 8 lines");
+
+    mem::Hierarchy c(smallTwoLevel());
+    c.restore(good);
+    EXPECT_TRUE(c.snapshot() == good);
+}
+
 TEST(MemHierarchy, MismatchedGeometryRestartsCold)
 {
     mem::Hierarchy a(smallTwoLevel());
