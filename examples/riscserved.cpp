@@ -16,11 +16,10 @@
  *     --tcp PORT         listen on 127.0.0.1:PORT (0 = ephemeral; the
  *                        "ready" line prints the bound port)
  *     --workers N        engine worker threads (0 = hardware threads)
- *     --queue N          engine queue bound (backpressure knob)
  *     --quota N          max instructions per scheduling turn
  *     --ttl-ms N         idle eviction threshold (-1 never, 0 asap)
  *     --spool DIR        eviction spool directory
- *     --max-sessions N   session cap
+ *     --max-sessions N   session cap (also sizes the engine run queue)
  *     --mem BYTES        default per-session memory
  *
  * Telemetry (docs/OBSERVABILITY.md):
@@ -69,9 +68,8 @@ usage()
 {
     std::cerr
         << "usage: riscserved (--unix PATH | --tcp PORT) [--workers N]\n"
-           "                  [--queue N] [--quota N] [--ttl-ms N]\n"
-           "                  [--spool DIR] [--max-sessions N] "
-           "[--mem BYTES]\n"
+           "                  [--quota N] [--ttl-ms N] [--spool DIR]\n"
+           "                  [--max-sessions N] [--mem BYTES]\n"
            "                  [--event-log PATH] [--event-log-level "
            "debug|info|warn]\n"
            "                  [--slow-ms MS] [--metrics-dump PATH]\n";
@@ -120,11 +118,6 @@ main(int argc, char **argv)
             if (!v || !parseU64(v, n))
                 return usage();
             svc.workers = static_cast<unsigned>(n);
-        } else if (arg == "--queue") {
-            const char *v = value();
-            if (!v || !parseU64(v, n) || n == 0)
-                return usage();
-            svc.engineQueue = n;
         } else if (arg == "--quota") {
             const char *v = value();
             if (!v || !parseU64(v, n) || n == 0)

@@ -498,9 +498,10 @@ class RiscAssembler final : public AsmCore
 } // namespace
 
 Program
-assembleRisc(const std::string &source)
+assembleRisc(const std::string &source,
+             std::optional<std::uint64_t> memBytes)
 {
-    return RiscAssembler().assemble(source);
+    return RiscAssembler().assemble(source, memBytes);
 }
 
 } // namespace risc1

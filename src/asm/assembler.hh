@@ -34,6 +34,8 @@
 #ifndef RISC1_ASM_ASSEMBLER_HH
 #define RISC1_ASM_ASSEMBLER_HH
 
+#include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/program.hh"
@@ -41,10 +43,12 @@
 namespace risc1 {
 
 /**
- * Assemble RISC I source text into a program image.
+ * Assemble RISC I source text into a program image; with @p memBytes,
+ * for a machine of that many bytes (asm/core.hh).
  * @throws FatalError with line information on any error.
  */
-Program assembleRisc(const std::string &source);
+Program assembleRisc(const std::string &source,
+                     std::optional<std::uint64_t> memBytes = std::nullopt);
 
 } // namespace risc1
 

@@ -33,13 +33,14 @@ constexpr DataDirective kSharedData[] = {
 } // namespace
 
 Program
-AsmCore::assemble(std::string_view source)
+AsmCore::assemble(std::string_view source,
+                  std::optional<std::uint64_t> memBytes)
 {
     // The cursor's lexer owns the text that is not in the source, so it
     // lives as long as the statements that view it.
     TokenCursor cur(source);
     parse(cur);
-    passOne();
+    passOne(memBytes);
     passTwo();
     resolveEntry();
     return std::move(program_);
@@ -330,7 +331,7 @@ AsmCore::directiveSize(const Stmt &stmt)
 // -- Passes ---------------------------------------------------------------
 
 void
-AsmCore::passOne()
+AsmCore::passOne(std::optional<std::uint64_t> memBytes)
 {
     std::uint32_t addr = kDefaultOrg;
     for (auto &stmt : stmts_) {
@@ -354,6 +355,9 @@ AsmCore::passOne()
         if (stmt.size > kAddrMax - addr)
             err(stmt, "location counter passes 0xffffffff");
         addr += stmt.size;
+        if (memBytes && addr > *memBytes)
+            err(stmt, cat("location counter passes the end of memory (0x",
+                          std::hex, *memBytes, ")"));
     }
 }
 

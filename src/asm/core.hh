@@ -22,7 +22,9 @@
  *     .ascii/.asciz "s", ...   string bytes (.asciz adds a 0 each)
  *     .align expr              zero-pad to a power of two
  *
- * No statement may take the location counter past 0xffffffff.  A
+ * No statement may take the location counter past 0xffffffff, nor,
+ * when the caller names the memory the image will load into, past its
+ * end; pass 1 checks both, before pass 2 materialises any byte.  A
  * `.equ` value lies in [-2^31, 2^32) and an `.entry` in [0, 2^32); a
  * data value fits its width as a signed or an unsigned number.
  *
@@ -111,10 +113,13 @@ class AsmCore
 {
   public:
     /**
-     * Assemble @p source into a program image.  Call once per object.
+     * Assemble @p source into a program image for a machine of
+     * @p memBytes bytes (nullopt: the whole 32-bit space).  Call once
+     * per object.
      * @throws FatalError with line information on any error.
      */
-    Program assemble(std::string_view source);
+    Program assemble(std::string_view source,
+                     std::optional<std::uint64_t> memBytes);
 
   protected:
     /**
@@ -201,7 +206,7 @@ class AsmCore
   private:
     void parse(TokenCursor &cur);
     Operand parseDirectiveOperand(TokenCursor &cur) const;
-    void passOne();
+    void passOne(std::optional<std::uint64_t> memBytes);
     void passTwo();
     void resolveEntry();
 

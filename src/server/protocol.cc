@@ -46,10 +46,18 @@ constexpr std::size_t kSlowEchoBytes = 256;
 /** Most words one `peek` may read (keeps responses frame-sized). */
 constexpr std::uint64_t kMaxPeekWords = 1024;
 
-/** Smallest session memory `create` accepts (code + stack areas). */
+/** Smallest and largest session memory `create` accepts. */
 constexpr std::uint64_t kMinMemBytes = 64 * 1024;
+constexpr std::uint64_t kMaxMemBytes = 16 * 1024 * 1024;
 
+/** A `run`'s step budget: its default and its cap. */
 constexpr std::uint64_t kDefaultRunSteps = 10'000'000;
+constexpr std::uint64_t kMaxRunSteps = 1'000'000'000;
+
+/** Most instructions one `step` may execute. */
+constexpr std::uint64_t kMaxStepCount = 1'000'000;
+
+constexpr const char *kShuttingDown = "server shutting down";
 
 /** @throws FatalError if @p session was destroyed after lookup. */
 void
@@ -100,7 +108,7 @@ Service::Service(ServiceConfig config)
     : config_(std::move(config)),
       sessions_(config_.spoolDir, config_.maxSessions, &registry_,
                 &eventLog_),
-      engine_(config_.workers, config_.engineQueue)
+      engine_(config_.workers, config_.maxSessions)
 {
     if (!config_.eventLogPath.empty())
         eventLog_.open(config_.eventLogPath,
@@ -191,9 +199,11 @@ Service::collectGauges()
     registry_.gauge("fleet.residentBytes").set(double(c.residentBytes));
     registry_.gauge("fleet.sharedBytes").set(double(c.sharedBytes));
 
+    // The engine queue is the run queue: its depth is the runs ready
+    // for a turn, its active tasks the turns executing.
+    const std::size_t depth = engine_.queueDepth();
     const std::size_t active = engine_.activeTasks();
-    registry_.gauge("engine.queueDepth")
-        .set(double(engine_.queueDepth()));
+    registry_.gauge("engine.queueDepth").set(double(depth));
     registry_.gauge("engine.activeTasks").set(double(active));
     registry_.gauge("engine.utilization")
         .set(engine_.workers() != 0
@@ -201,11 +211,9 @@ Service::collectGauges()
                  : 0.0);
     registry_.gauge("engine.tasksExecuted")
         .set(double(engine_.tasksExecuted()));
-
-    std::lock_guard sched(schedMutex_);
-    registry_.gauge("runs.ready").set(double(ready_.size()));
-    registry_.gauge("runs.inFlight").set(double(inFlight_));
-    registry_.gauge("runs.pending").set(double(pendingRuns_));
+    registry_.gauge("runs.ready").set(double(depth));
+    registry_.gauge("runs.inFlight").set(double(active));
+    registry_.gauge("runs.pending").set(double(pendingRuns_.load()));
 }
 
 Service::~Service()
@@ -224,7 +232,7 @@ Service::execute(const std::string &requestJson, ReplyFn reply)
     std::string payload;
     try {
         if (stopping_.load(std::memory_order_acquire))
-            fatal("server shutting down");
+            fatal(kShuttingDown);
         const JsonValue req = parseJson(requestJson);
         if (!req.isObject())
             fatal(cat("request must be a JSON object, got ",
@@ -294,15 +302,7 @@ std::string
 Service::cmdInfo()
 {
     const SessionCounts c = sessions_.counts();
-    std::size_t ready = 0;
-    std::size_t inFlight = 0;
-    std::size_t pending = 0;
-    {
-        std::lock_guard sched(schedMutex_);
-        ready = ready_.size();
-        inFlight = inFlight_;
-        pending = pendingRuns_;
-    }
+    const std::size_t depth = engine_.queueDepth();
     JsonWriter w;
     w.beginObject()
         .field("ok", true)
@@ -310,7 +310,7 @@ Service::cmdInfo()
         .field("protocolVersion", std::uint64_t(1))
         .field("uptimeMs", uptimeMs())
         .field("workers", std::uint64_t(engine_.workers()))
-        .field("queueDepth", std::uint64_t(engine_.queueDepth()))
+        .field("queueDepth", std::uint64_t(depth))
         .field("queueCapacity", std::uint64_t(engine_.capacity()))
         .field("quota", config_.quota)
         .field("ttlMs", std::int64_t(config_.ttlMs))
@@ -334,9 +334,9 @@ Service::cmdInfo()
         .endObject();
     w.key("runs")
         .beginObject()
-        .field("pending", std::uint64_t(pending))
-        .field("ready", std::uint64_t(ready))
-        .field("inFlight", std::uint64_t(inFlight))
+        .field("pending", std::uint64_t(pendingRuns_.load()))
+        .field("ready", std::uint64_t(depth))
+        .field("inFlight", std::uint64_t(engine_.activeTasks()))
         .endObject();
     // Lifetime command totals (the registry's server.* counters) and
     // build identity, so one `info` answers "what is this daemon and
@@ -391,9 +391,9 @@ Service::cmdCreate(const JsonValue &req)
     cfg.fast = req.boolOr("fast", true);
 
     const std::uint64_t mem = req.u64Or("mem", config_.defaultMemBytes);
-    if (mem < kMinMemBytes || mem > config_.maxMemBytes)
-        fatal(cat("create: mem must be ", kMinMemBytes, "..",
-                  config_.maxMemBytes, " bytes, got ", mem));
+    if (mem < kMinMemBytes || mem > kMaxMemBytes)
+        fatal(cat("create: mem must be ", kMinMemBytes, "..", kMaxMemBytes,
+                  " bytes, got ", mem));
     if (mem % Memory::pageBytes != 0)
         fatal(cat("create: mem must be a multiple of ", Memory::pageBytes,
                   " bytes, got ", mem));
@@ -479,27 +479,23 @@ Service::cmdStep(const JsonValue &req)
 {
     const auto session = needSession(req);
     const std::uint64_t count = req.u64Or("count", 1);
-    if (count < 1 || count > config_.maxStepCount)
-        fatal(cat("step: count must be 1..", config_.maxStepCount,
-                  ", got ", count));
+    if (count < 1 || count > kMaxStepCount)
+        fatal(cat("step: count must be 1..", kMaxStepCount, ", got ",
+                  count));
 
     std::lock_guard lock(session->mutex);
     requireIdle(*session);
     sessions_.ensureResident(*session);
     const auto t0 = Clock::now();
-    std::uint64_t done = 0;
-    while (done < count && !session->target->halted()) {
-        session->target->step();
-        ++done;
-    }
+    const RunOutcome out = session->target->run(count, false);
     session->metrics.execMs += msSince(t0);
-    session->metrics.steps += done;
+    session->metrics.steps += out.steps;
     touch(*session);
 
     JsonWriter w;
     okHeader(*session, w);
-    w.field("steps", done)
-        .field("halted", session->target->halted())
+    w.field("steps", out.steps)
+        .field("halted", out.halted)
         .field("pc", session->target->pc())
         .endObject();
     return w.str();
@@ -513,38 +509,33 @@ Service::cmdRun(const JsonValue &req, ReplyFn &reply)
         session = needSession(req);
         const std::uint64_t maxSteps =
             req.u64Or("maxSteps", kDefaultRunSteps);
-        if (maxSteps < 1 || maxSteps > config_.maxRunSteps)
-            fatal(cat("run: maxSteps must be 1..", config_.maxRunSteps,
-                      ", got ", maxSteps));
+        if (maxSteps < 1 || maxSteps > kMaxRunSteps)
+            fatal(cat("run: maxSteps must be 1..", kMaxRunSteps, ", got ",
+                      maxSteps));
 
         std::lock_guard lock(session->mutex);
         requireIdle(*session);
-        {
-            std::lock_guard sched(schedMutex_);
-            if (stopping_.load(std::memory_order_relaxed))
-                fatal("server shutting down");
+        std::size_t pending = pendingRuns_.load();
+        do {
             if (config_.maxPendingRuns != 0 &&
-                pendingRuns_ >= config_.maxPendingRuns)
-                fatal(cat("server overloaded: ", pendingRuns_,
+                pending >= config_.maxPendingRuns)
+                fatal(cat("server overloaded: ", pending,
                           " runs pending (limit ", config_.maxPendingRuns,
                           "); retry after a run completes"));
-            ++pendingRuns_;
-        }
+        } while (!pendingRuns_.compare_exchange_weak(pending, pending + 1));
         touch(*session);
         session->runActive = true;
         session->run.remaining = maxSteps;
         session->run.executed = 0;
         session->run.reply = std::move(reply);
         session->run.enqueuedAt = Clock::now();
+        if (engine_.trySubmit([this, session] { runTurn(session); }))
+            return;
     } catch (const std::exception &e) {
         reply(errorPayload(e.what()));
         return;
     }
-    {
-        std::lock_guard sched(schedMutex_);
-        ready_.push_back(std::move(session));
-    }
-    pump();
+    finishRun(*session, errorPayload(kShuttingDown));
 }
 
 std::string
@@ -729,156 +720,80 @@ Service::needSession(const JsonValue &req) const
 }
 
 void
-Service::pump()
-{
-    std::lock_guard sched(schedMutex_);
-    while (!stopping_.load(std::memory_order_relaxed) && !ready_.empty()) {
-        std::shared_ptr<Session> session = ready_.front();
-        if (!engine_.trySubmit(
-                [this, session] { runTurn(session); }))
-            break; // engine full; retried as in-flight turns retire
-        ready_.pop_front();
-        ++inFlight_;
-    }
-}
-
-void
 Service::runTurn(const std::shared_ptr<Session> &session)
 {
-    ReplyFn reply;
     std::string payload;
-    bool requeue = false;
     {
         std::lock_guard lock(session->mutex);
-        if (!session->runActive) {
-            // stop() already drained this run; nothing to do.
-        } else if (stopping_.load(std::memory_order_acquire)) {
-            payload = errorPayload("server shutting down");
-            reply = std::move(session->run.reply);
-            session->runActive = false;
-        } else {
-            try {
-                schedQueueWaitNs_->record(
-                    nsSince(session->run.enqueuedAt));
-                sessions_.ensureResident(*session);
-                const std::uint64_t quota =
-                    std::min(config_.quota, session->run.remaining);
-                const auto t0 = Clock::now();
-                const RunOutcome out =
-                    session->target->run(quota, session->cfg.fast);
-                session->metrics.execMs += msSince(t0);
-                schedTurnNs_->record(nsSince(t0));
-                schedTurns_->add(1);
-                ++session->metrics.turns;
-                session->metrics.steps += out.steps;
-                session->run.executed += out.steps;
-                session->run.remaining -=
-                    std::min(out.steps, session->run.remaining);
-                session->lastActive = Clock::now();
-                if (out.halted || session->run.remaining == 0) {
-                    JsonWriter w;
-                    okHeader(*session, w);
-                    w.field("steps", session->run.executed)
-                        .field("halted", out.halted)
-                        .field("status",
-                               out.halted ? "halted" : "stepLimit")
-                        .field("pc", session->target->pc())
-                        .field("checksum", session->target->checksum())
-                        .endObject();
-                    payload = w.str();
-                    reply = std::move(session->run.reply);
-                    session->runActive = false;
-                } else {
-                    session->run.enqueuedAt = Clock::now();
-                    requeue = true;
-                }
-            } catch (const std::exception &e) {
-                payload = errorPayload(e.what());
-                reply = std::move(session->run.reply);
-                session->runActive = false;
+        try {
+            if (stopping_.load(std::memory_order_acquire))
+                fatal(kShuttingDown);
+            schedQueueWaitNs_->record(nsSince(session->run.enqueuedAt));
+            sessions_.ensureResident(*session);
+            const std::uint64_t quota =
+                std::min(config_.quota, session->run.remaining);
+            const auto t0 = Clock::now();
+            const RunOutcome out =
+                session->target->run(quota, session->cfg.fast);
+            session->metrics.execMs += msSince(t0);
+            schedTurnNs_->record(nsSince(t0));
+            schedTurns_->add(1);
+            ++session->metrics.turns;
+            session->metrics.steps += out.steps;
+            session->run.executed += out.steps;
+            session->run.remaining -=
+                std::min(out.steps, session->run.remaining);
+            session->lastActive = Clock::now();
+            if (!out.halted && session->run.remaining != 0) {
+                // The next turn joins the queue tail, behind every other
+                // runnable session's: round-robin.
+                session->run.enqueuedAt = Clock::now();
+                if (engine_.trySubmit([this, session] { runTurn(session); }))
+                    return;
+                fatal(kShuttingDown);
             }
+            JsonWriter w;
+            okHeader(*session, w);
+            w.field("steps", session->run.executed)
+                .field("halted", out.halted)
+                .field("status", out.halted ? "halted" : "stepLimit")
+                .field("pc", session->target->pc())
+                .field("checksum", session->target->checksum())
+                .endObject();
+            payload = w.str();
+        } catch (const std::exception &e) {
+            payload = errorPayload(e.what());
         }
     }
-
-    if (requeue) {
-        bool drained = false;
-        {
-            std::lock_guard sched(schedMutex_);
-            if (stopping_.load(std::memory_order_relaxed))
-                drained = true; // stop() already swept the ready queue
-            else
-                ready_.push_back(session);
-        }
-        if (drained) {
-            std::lock_guard lock(session->mutex);
-            if (session->runActive) {
-                payload = errorPayload("server shutting down");
-                reply = std::move(session->run.reply);
-                session->runActive = false;
-            }
-        }
-    }
-
-    if (reply)
-        reply(std::move(payload));
-
-    {
-        std::lock_guard sched(schedMutex_);
-        --inFlight_;
-        if (reply && pendingRuns_ > 0)
-            --pendingRuns_;
-    }
-    pump();
+    finishRun(*session, std::move(payload));
 }
 
 void
-Service::failRun(const std::shared_ptr<Session> &session,
-                 std::string_view message)
+Service::finishRun(Session &session, std::string payload)
 {
     ReplyFn reply;
     {
-        std::lock_guard lock(session->mutex);
-        if (!session->runActive)
-            return;
-        reply = std::move(session->run.reply);
-        session->runActive = false;
+        std::lock_guard lock(session.mutex);
+        reply = std::move(session.run.reply);
+        session.runActive = false;
     }
-    if (reply)
-        reply(errorPayload(message));
-    std::lock_guard sched(schedMutex_);
-    if (pendingRuns_ > 0)
-        --pendingRuns_;
+    pendingRuns_.fetch_sub(1);
+    reply(std::move(payload));
 }
 
 void
 Service::stop()
 {
-    std::deque<std::shared_ptr<Session>> drain;
-    bool first = false;
-    {
-        std::lock_guard sched(schedMutex_);
-        if (!stopping_.exchange(true, std::memory_order_acq_rel)) {
-            first = true;
-        } else {
-            // Another stop() is (or was) in flight; fall through to
-            // the joins, which are themselves idempotent.
-        }
-        drain.swap(ready_);
-    }
-    if (first && eventLog_.enabled(obs::EventLevel::Info))
+    if (!stopping_.exchange(true) &&
+        eventLog_.enabled(obs::EventLevel::Info))
         eventLog_.emit(obs::EventLevel::Info, "server.stop",
                        obs::EventFields{}
                            .field("uptimeMs", uptimeMs())
                            .field("requests", requests_->value())
                            .field("errors", errors_->value()));
 
-    // Runs still queued outside the engine never got a turn: fail them
-    // here.  Runs already inside the engine are failed by their own
-    // turn, which observes stopping_ (the engine runs every queued
-    // task to completion before stop() returns).
-    for (const auto &session : drain)
-        failRun(session, "server shutting down");
-
+    // Every queued turn still runs before the workers join; each one
+    // sees stopping_ and replies "server shutting down".
     engine_.stop();
 
     {

@@ -14,16 +14,18 @@
  * stats, snapshot, fork, evict, destroy, info, ping) run synchronously
  * on the calling thread, serialized per-session by the session mutex.
  * A `run` command is sliced into quota-bounded turns executed on the
- * engine pool: the session joins a FIFO ready queue, each turn
- * executes at most `quota` instructions, and an unfinished run rejoins
- * the queue tail — round-robin fairness across however many sessions
- * are runnable.  Turns enter the engine through trySubmit(), so the
- * bounded engine queue applies backpressure: when it is full the
- * overflow waits in the ready queue and is pumped in as turns retire.
+ * engine pool, whose FIFO queue is the only run queue: each turn
+ * executes at most `quota` instructions, and an unfinished run submits
+ * its next turn to the queue tail — round-robin fairness across
+ * however many sessions are runnable.  A session never has more than
+ * one turn queued, so the engine queue is sized from maxSessions and
+ * trySubmit() refuses only once the engine has stopped; admission is
+ * bounded by maxPendingRuns instead.
  *
  * Every request receives exactly one reply, including at shutdown:
- * stop() fails queued and in-flight runs with a "server shutting down"
- * error before the engine threads are joined.
+ * every run reply leaves through finishRun(), and stop() lets the
+ * engine run each queued turn into a "server shutting down" error
+ * before its threads are joined.
  */
 
 #ifndef RISC1_SERVER_PROTOCOL_HH
@@ -33,7 +35,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -61,9 +62,6 @@ struct ServiceConfig
     /** Engine worker threads; 0 = one per hardware thread. */
     unsigned workers = 0;
 
-    /** Engine queue bound — the backpressure knob (engine.hh). */
-    std::size_t engineQueue = 256;
-
     /** Max instructions one scheduling turn may execute. */
     std::uint64_t quota = 100'000;
 
@@ -77,20 +75,13 @@ struct ServiceConfig
     /** Directory for eviction spool files. */
     std::string spoolDir = "spool";
 
+    /** Session cap; also the engine queue's size, since each session
+     *  has at most one run turn queued. */
     std::size_t maxSessions = 4096;
 
     /** Session memory when `create` omits "mem" (small by design so
      *  thousands of resident sessions fit in RAM; see docs/SERVER.md). */
     std::uint64_t defaultMemBytes = 256 * 1024;
-
-    /** Upper bound a `create` may request. */
-    std::uint64_t maxMemBytes = 16u * 1024 * 1024;
-
-    /** Per-`run` step budget cap. */
-    std::uint64_t maxRunSteps = 1'000'000'000;
-
-    /** Per-`step` command count cap. */
-    std::uint64_t maxStepCount = 1'000'000;
 
     /** Concurrent pending `run` cap; 0 = bounded by maxSessions only
      *  (each session can have at most one run in flight). */
@@ -135,9 +126,9 @@ class Service
     void execute(const std::string &requestJson, ReplyFn reply);
 
     /**
-     * Drain and shut down: pending runs receive "server shutting
-     * down" errors, the sweeper and engine threads are joined.
-     * Idempotent; called by the destructor.
+     * Shut down: refuse new requests, let the engine run every queued
+     * turn into a "server shutting down" reply and join its threads,
+     * then join the sweeper.  Idempotent; called by the destructor.
      */
     void stop();
 
@@ -180,16 +171,16 @@ class Service
     /** Resolve the request's "session" or fail. */
     std::shared_ptr<Session> needSession(const JsonValue &req) const;
 
-    /** Move ready sessions into the engine while it has room. */
-    void pump();
-
     /** One scheduling turn for @p session (runs on an engine worker). */
     void runTurn(const std::shared_ptr<Session> &session);
 
-    /** Fail @p session's pending run with @p message (session mutex
-     *  must NOT be held). */
-    void failRun(const std::shared_ptr<Session> &session,
-                 std::string_view message);
+    /**
+     * Send @p session's run reply — the only way one leaves.  Clears
+     * runActive and frees the admission slot first, so the reply's
+     * receiver may start another run at once.  The session mutex must
+     * NOT be held.
+     */
+    void finishRun(Session &session, std::string payload);
 
     void sweepLoop();
     void sweepOnce();
@@ -236,11 +227,7 @@ class Service
     obs::Histogram *cmdOtherNs_ = nullptr;
 
     std::atomic<bool> stopping_{false};
-
-    std::mutex schedMutex_;
-    std::deque<std::shared_ptr<Session>> ready_;
-    std::size_t inFlight_ = 0;     ///< turns inside the engine
-    std::size_t pendingRuns_ = 0;  ///< accepted, not yet replied
+    std::atomic<std::size_t> pendingRuns_{0};  ///< accepted, not replied
 
     std::mutex sweepMutex_;
     std::condition_variable sweepCv_;

@@ -162,9 +162,9 @@ SocketServer::start()
 
     std::lock_guard lock(mutex_);
     if (unixFd_ >= 0)
-        threads_.emplace_back(&SocketServer::acceptLoop, this, unixFd_);
+        acceptors_.emplace_back(&SocketServer::acceptLoop, this, unixFd_);
     if (tcpFd_ >= 0)
-        threads_.emplace_back(&SocketServer::acceptLoop, this, tcpFd_);
+        acceptors_.emplace_back(&SocketServer::acceptLoop, this, tcpFd_);
 }
 
 void
@@ -178,16 +178,20 @@ SocketServer::stop()
     if (tcpFd_ >= 0)
         ::shutdown(tcpFd_, SHUT_RDWR);
 
-    std::vector<std::thread> toJoin;
+    std::vector<std::thread> acceptors;
+    std::list<Reader> readers;
     {
         std::lock_guard lock(mutex_);
-        for (const auto &weak : connections_)
-            if (const auto conn = weak.lock())
+        for (const Reader &r : readers_)
+            if (const auto conn = r.conn.lock())
                 conn->shutdownNow();
-        toJoin.swap(threads_);
+        acceptors.swap(acceptors_);
+        readers.swap(readers_);
     }
-    for (auto &t : toJoin)
+    for (auto &t : acceptors)
         t.join();
+    for (Reader &r : readers)
+        r.thread.join();
 
     if (unixFd_ >= 0) {
         ::close(unixFd_);
@@ -217,10 +221,25 @@ SocketServer::acceptLoop(int listenFd)
             conn->shutdownNow();
             return;
         }
-        connections_.push_back(conn);
-        threads_.emplace_back(
-            [this, conn] { serveConnection(conn); });
+        reapReaders();
+        Reader &reader = readers_.emplace_back();
+        reader.conn = conn;
+        reader.thread = std::thread([this, conn, &reader] {
+            serveConnection(conn);
+            reader.finished.store(true, std::memory_order_release);
+        });
     }
+}
+
+void
+SocketServer::reapReaders()
+{
+    readers_.remove_if([](Reader &r) {
+        if (!r.finished.load(std::memory_order_acquire))
+            return false;
+        r.thread.join(); // returns at once: the thread is exiting
+        return true;
+    });
 }
 
 void

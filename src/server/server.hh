@@ -5,7 +5,8 @@
  * decodes request frames (frame.hh), and hands payloads to the
  * Service (protocol.hh).
  *
- * One reader thread per connection; responses are written under a
+ * One reader thread per connection, joined and forgotten once its
+ * peer has gone (at the next accept); responses are written under a
  * per-connection write mutex so the synchronous command replies and
  * the asynchronous `run` completions (delivered from engine workers)
  * can interleave safely on one socket.  A framing error is answered
@@ -18,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -76,8 +78,21 @@ class SocketServer
   private:
     struct Connection;
 
+    /** A connection's reader thread (the connection outlives it while
+     *  `run` replies are pending). */
+    struct Reader
+    {
+        std::weak_ptr<Connection> conn;
+        std::thread thread;
+        std::atomic<bool> finished{false};
+    };
+
     void acceptLoop(int listenFd);
     void serveConnection(const std::shared_ptr<Connection> &conn);
+
+    /** Join and drop every reader whose thread has finished (caller
+     *  holds mutex_). */
+    void reapReaders();
 
     Service &service_;
     const ServerConfig config_;
@@ -87,9 +102,9 @@ class SocketServer
     int tcpFd_ = -1;
     std::uint16_t boundTcpPort_ = 0;
 
-    std::mutex mutex_;  ///< guards threads_ and connections_
-    std::vector<std::thread> threads_;
-    std::vector<std::weak_ptr<Connection>> connections_;
+    std::mutex mutex_;  ///< guards acceptors_ and readers_
+    std::vector<std::thread> acceptors_;
+    std::list<Reader> readers_;  ///< list: a thread holds its entry
 };
 
 } // namespace risc1::server

@@ -46,15 +46,15 @@ vaxStats(const TargetStats &stats)
 }
 
 Program
-RiscIsa::assemble(const std::string &source)
+RiscIsa::assemble(const std::string &source, std::uint64_t memBytes)
 {
-    return assembleRisc(source);
+    return assembleRisc(source, memBytes);
 }
 
 Program
-VaxIsa::assemble(const std::string &source)
+VaxIsa::assemble(const std::string &source, std::uint64_t memBytes)
 {
-    return assembleVax(source);
+    return assembleVax(source, memBytes);
 }
 
 template <class Isa>

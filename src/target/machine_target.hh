@@ -26,7 +26,8 @@ struct RiscIsa
     static constexpr unsigned numRegs = 32;
     static constexpr auto options = &TargetOptions::risc;
     static constexpr auto counters = &RiscTargetStats::run;
-    static Program assemble(const std::string &source);
+    static Program assemble(const std::string &source,
+                            std::uint64_t memBytes);
 };
 
 /** The CISC baseline: vax/VaxMachine, checksum in r0. */
@@ -40,7 +41,8 @@ struct VaxIsa
     static constexpr unsigned numRegs = vaxNumRegs;
     static constexpr auto options = &TargetOptions::vax;
     static constexpr auto counters = &VaxTargetStats::vax;
-    static Program assemble(const std::string &source);
+    static Program assemble(const std::string &source,
+                            std::uint64_t memBytes);
 };
 
 /** An ISA's machine snapshot behind the opaque TargetSnapshot interface. */
@@ -73,7 +75,7 @@ class MachineTarget final : public Target
     std::string_view name() const override { return Isa::name; }
     Program assemble(const std::string &source) const override
     {
-        return Isa::assemble(source);
+        return Isa::assemble(source, machine_.config().memorySize);
     }
     void loadProgram(const Program &program) override;
     std::uint64_t codeBytes() const override { return codeBytes_; }

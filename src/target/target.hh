@@ -153,9 +153,12 @@ class Target
     virtual std::string_view name() const = 0;
 
     /**
-     * Assemble @p source with this ISA's assembler.  Touches no
-     * machine state, so one image can be loaded into many targets of
-     * the same backend.  @throws FatalError on an assembly error.
+     * Assemble @p source with this ISA's assembler, for this target's
+     * memory size: a statement that passes the end of memory is an
+     * assembly error, raised before any padding is built.
+     * Touches no machine state, so one image can be loaded into many
+     * targets of the same backend.  @throws FatalError on an assembly
+     * error.
      */
     virtual Program assemble(const std::string &source) const = 0;
 

@@ -329,9 +329,9 @@ class VaxAssembler final : public AsmCore
 } // namespace
 
 Program
-assembleVax(const std::string &source)
+assembleVax(const std::string &source, std::optional<std::uint64_t> memBytes)
 {
-    return VaxAssembler().assemble(source);
+    return VaxAssembler().assemble(source, memBytes);
 }
 
 } // namespace risc1

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -260,6 +261,9 @@ struct ErrorRow
     bool vax;
     const char *source;
     const char *what;
+    /** The loading machine's memory size (nullopt: the free
+     *  functions' 32-bit bound). */
+    std::optional<std::uint64_t> memBytes = std::nullopt;
 };
 
 /**
@@ -502,6 +506,24 @@ const ErrorRow kErrorRows[] = {
     {true, ".org 0xffffffff\nstart: halt\n",
      "line 2: location counter passes 0xffffffff"},
 
+    // Bounded by the loading machine's memory, pass 1 refuses what the
+    // loader would, before pass 2 materialises any padding.
+    {false, "start: halt\n.space 0x10000000\n",
+     "line 2: location counter passes the end of memory (0x40000)",
+     0x40000},
+    {true, "start: halt\n.space 0x10000000\n",
+     "line 2: location counter passes the end of memory (0x40000)",
+     0x40000},
+    {true, "start: halt\n.align 0x80000\n",
+     "line 2: location counter passes the end of memory (0x40000)",
+     0x40000},
+    {false, ".org 0x40004\nstart: halt\n",
+     "line 1: location counter passes the end of memory (0x40000)",
+     0x40000},
+    {false, ".org 0x3fffc\nstart: halt\n.word 0\n",
+     "line 3: location counter passes the end of memory (0x40000)",
+     0x40000},
+
     // Values are range-checked, never silently narrowed to 32 bits or
     // to a data directive's width.
     {false, ".equ big, 0x100000005\nstart: halt\n",
@@ -574,6 +596,13 @@ TEST(AsmEdges, CodeAtTheTopOfTheAddressSpace)
     EXPECT_EQ(risc.entry, 0xfffffff8u);
     const Program vax = assembleVax(".org 0xfffffffe\nstart: halt\n");
     EXPECT_EQ(vax.entry, 0xfffffffeu);
+
+    // Bounded by a memory size, the last statement may end exactly at
+    // the end of memory.
+    EXPECT_EQ(assembleRisc(".org 0x3fffc\nstart: halt\n", 0x40000).entry,
+              0x3fffcu);
+    EXPECT_EQ(assembleVax(".org 0x3ffff\nstart: halt\n", 0x40000).entry,
+              0x3ffffu);
 }
 
 TEST(AsmErrors, EveryTextIsPinned)
@@ -581,9 +610,9 @@ TEST(AsmErrors, EveryTextIsPinned)
     for (const ErrorRow &row : kErrorRows) {
         try {
             if (row.vax)
-                assembleVax(row.source);
+                assembleVax(row.source, row.memBytes);
             else
-                assembleRisc(row.source);
+                assembleRisc(row.source, row.memBytes);
             ADD_FAILURE() << (row.vax ? "vax" : "risc")
                           << " assembled without error: " << row.source;
         } catch (const FatalError &e) {

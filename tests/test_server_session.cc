@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -80,7 +81,6 @@ testConfig(const std::string &tag)
 {
     ServiceConfig cfg;
     cfg.workers = 2;
-    cfg.engineQueue = 8;
     cfg.quota = 1000;
     cfg.spoolDir = "server_test_spool_" + tag;
     cfg.maxSessions = 64;
@@ -92,6 +92,13 @@ createReq(const char *backend)
 {
     return std::string("{\"cmd\":\"create\",\"backend\":\"") + backend +
            "\",\"workload\":\"fib_rec\"}";
+}
+
+std::string
+runReq(const std::string &id)
+{
+    return "{\"cmd\":\"run\",\"session\":\"" + id +
+           "\",\"maxSteps\":100000000}";
 }
 
 void
@@ -530,6 +537,27 @@ TEST(ServerSession, BadRequestsAreErrorsNotCrashes)
     cleanupSpool(cfg);
 }
 
+TEST(ServerSession, CreateRefusesSourcePastSessionMemory)
+{
+    // A request of a few dozen bytes must not make the daemon build
+    // 256 MiB of padding: the assembler stops at the session memory.
+    const auto cfg = testConfig("space");
+    {
+        Service service(cfg);
+        Driver d(service);
+        const std::string tail =
+            "\",\"source\":\"start: halt\\n.space 0x10000000\\n\"}";
+        for (const char *backend : {"risc", "vax"})
+            EXPECT_EQ(d.err(std::string("{\"cmd\":\"create\",\"backend\":"
+                                        "\"") +
+                            backend + tail),
+                      "line 2: location counter passes the end of memory "
+                      "(0x40000)")
+                << backend;
+    }
+    cleanupSpool(cfg);
+}
+
 TEST(ServerSession, InfoReportsCounts)
 {
     const auto cfg = testConfig("info");
@@ -763,5 +791,136 @@ TEST(ServerSession, StopDrainsPendingRuns)
         std::lock_guard lock(m);
         EXPECT_EQ(replies, 4);
     }
+    cleanupSpool(cfg);
+}
+
+TEST(ServerSession, AdmissionSlotIsFreeWhenTheReplyArrives)
+{
+    // A run's reply frees its admission slot and its session before it
+    // is delivered, so a client that starts its next run from inside
+    // the reply is admitted even at a limit of one pending run.
+    auto cfg = testConfig("admit");
+    cfg.maxPendingRuns = 1;
+    cfg.workers = 1;
+    {
+        Service service(cfg);
+        Driver d(service);
+        const std::string id =
+            d.ok(createReq("risc")).stringOr("session", "");
+
+        std::mutex m;
+        std::condition_variable cv;
+        std::string second;
+        bool done = false;
+        service.execute(runReq(id), [&](std::string) {
+            service.execute(runReq(id), [&](std::string payload) {
+                std::lock_guard lock(m);
+                second = std::move(payload);
+                done = true;
+                cv.notify_one();
+            });
+        });
+        std::unique_lock lock(m);
+        cv.wait(lock, [&] { return done; });
+        const JsonValue v = parseJson(second);
+        EXPECT_TRUE(v.boolOr("ok", false)) << v.stringOr("error", "");
+    }
+    cleanupSpool(cfg);
+}
+
+TEST(ServerSession, UnfinishedRunYieldsToTheQueueTail)
+{
+    // One worker, quota 1000.  fib_rec (17,758 steps) is queued before
+    // a one-instruction program; after its first turn it must go to
+    // the back of the queue, so the short run replies first.
+    auto cfg = testConfig("rr");
+    cfg.workers = 1;
+    {
+        Service service(cfg);
+        Driver d(service);
+        const std::string longId =
+            d.ok(createReq("risc")).stringOr("session", "");
+        const std::string shortId =
+            d.ok("{\"cmd\":\"create\",\"source\":\"start: halt\\n\"}")
+                .stringOr("session", "");
+
+        std::mutex latchM;
+        std::condition_variable latchCv;
+        bool release = false;
+        service.engine().submit([&] {
+            std::unique_lock lock(latchM);
+            latchCv.wait(lock, [&] { return release; });
+        });
+
+        std::mutex m;
+        std::condition_variable cv;
+        std::vector<std::string> order;
+        for (const std::string &id : {longId, shortId})
+            service.execute(runReq(id), [&, id](std::string payload) {
+                EXPECT_TRUE(parseJson(payload).boolOr("halted", false))
+                    << payload;
+                std::lock_guard lock(m);
+                order.push_back(id);
+                cv.notify_one();
+            });
+        {
+            std::lock_guard lock(latchM);
+            release = true;
+        }
+        latchCv.notify_all();
+        std::unique_lock lock(m);
+        cv.wait(lock, [&] { return order.size() == 2; });
+        EXPECT_EQ(order, (std::vector<std::string>{shortId, longId}));
+    }
+    cleanupSpool(cfg);
+}
+
+TEST(ServerSession, StopRaceAnswersEveryRun)
+{
+    // Three client threads start runs on 16 sessions each while stop()
+    // lands after a different number of runs every round.  Every run gets exactly
+    // one reply, whether stop() found it queued, mid-turn, or about to
+    // submit its first turn.
+    auto cfg = testConfig("race");
+    cfg.quota = 500;
+    constexpr int kRounds = 500;
+    constexpr int kClients = 3;
+    constexpr int kSessions = 16;
+    int badRounds = 0;
+    std::string firstBad;
+    for (int round = 0; round < kRounds; ++round) {
+        Service service(cfg);
+        Driver d(service);
+        std::vector<std::string> ids;
+        for (int i = 0; i < kClients * kSessions; ++i)
+            ids.push_back(d.ok(createReq("risc")).stringOr("session", ""));
+
+        std::atomic<int> requests{0};
+        std::atomic<int> replies{0};
+        std::atomic<bool> go{false};
+        std::vector<std::thread> clients;
+        for (int c = 0; c < kClients; ++c)
+            clients.emplace_back([&, c] {
+                while (!go.load())
+                    std::this_thread::yield();
+                for (int i = 0; i < kSessions; ++i) {
+                    ++requests;
+                    service.execute(runReq(ids[c * kSessions + i]),
+                                    [&](std::string) { ++replies; });
+                }
+            });
+        go.store(true);
+        // Stop once a round-dependent number of runs has been issued.
+        while (requests.load() < round % (kClients * kSessions))
+            std::this_thread::yield();
+        service.stop();
+        for (auto &t : clients)
+            t.join();
+        if (replies.load() != requests.load() && badRounds++ == 0)
+            firstBad = "round " + std::to_string(round) + ": " +
+                       std::to_string(requests.load()) + " runs, " +
+                       std::to_string(replies.load()) + " replies";
+    }
+    EXPECT_EQ(badRounds, 0) << "first: " << firstBad;
     cleanupSpool(cfg);
 }

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -68,6 +69,18 @@ std::string
 socketPath(const char *tag)
 {
     return std::string("rs_test_") + tag + ".sock";
+}
+
+/** Lines in /proc/self/maps: the process's mapped regions. */
+std::size_t
+mappedRegions()
+{
+    std::ifstream maps("/proc/self/maps");
+    EXPECT_TRUE(maps.is_open());
+    std::size_t lines = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++lines;
+    return lines;
 }
 
 } // namespace
@@ -337,4 +350,25 @@ TEST(ServerSocket, StopWithLiveConnections)
     client.callOk("{\"cmd\":\"ping\"}");
     daemon.reset(); // Service::stop() + SocketServer::stop()
     EXPECT_FALSE(client.readRawResponse().has_value());
+}
+
+TEST(ServerSocket, ClosedConnectionsAreReaped)
+{
+    // Every reader thread maps a stack.  A server that kept finished
+    // readers until stop() would grow by about two regions for each
+    // connection it had ever served.
+    const std::string path = socketPath("reap");
+    ServerConfig cfg;
+    cfg.unixPath = path;
+    TestDaemon daemon(cfg);
+    const auto ping = [&] {
+        Client client = Client::connectUnix(path);
+        client.callOk("{\"cmd\":\"ping\"}");
+    };
+    for (int i = 0; i < 4; ++i) // first stacks and allocator arenas
+        ping();
+    const std::size_t before = mappedRegions();
+    for (int i = 0; i < 32; ++i)
+        ping();
+    EXPECT_LT(mappedRegions(), before + 16);
 }

@@ -383,8 +383,8 @@ TEST(Engine, RunsSubmittedTasks)
 TEST(Engine, TrySubmitRefusesWhenFull)
 {
     // One worker, capacity 2.  Block the worker on a latch, fill the
-    // queue, and the next trySubmit must refuse without blocking —
-    // that refusal is the server's backpressure signal.
+    // queue, and the next trySubmit must refuse without blocking — the
+    // signal a producer sheds load on.
     sim::Engine engine(1, 2);
     std::mutex m;
     std::condition_variable cv;
