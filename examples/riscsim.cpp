@@ -139,7 +139,12 @@ runRisc(const std::string &source, unsigned windows, bool windowed,
         bool reorganize, std::uint64_t maxSteps,
         const mem::HierarchyConfig &caches)
 {
-    Program program = assembleRisc(source);
+    MachineConfig config;
+    config.windows.numWindows = windows;
+    config.windowedCalls = windowed;
+    config.caches = caches;
+    // Pass 1 refuses a location counter past this machine's memory.
+    Program program = assembleRisc(source, config.memorySize);
     if (reorganize) {
         ReorgResult result = fillDelaySlots(program);
         std::cout << "reorganiser: " << result.slotsFilled << " of "
@@ -165,10 +170,6 @@ runRisc(const std::string &source, unsigned windows, bool windowed,
         return 0;
     }
 
-    MachineConfig config;
-    config.windows.numWindows = windows;
-    config.windowedCalls = windowed;
-    config.caches = caches;
     Machine machine(config);
     machine.loadProgram(program);
     CliTrace tracer;
@@ -192,7 +193,9 @@ runCisc(const std::string &source, bool trace,
         const std::string &traceJsonl, bool disasmOnly,
         std::uint64_t maxSteps, const mem::HierarchyConfig &caches)
 {
-    const Program program = assembleVax(source);
+    VaxConfig config;
+    config.caches = caches;
+    const Program program = assembleVax(source, config.memorySize);
     if (disasmOnly) {
         for (const auto &seg : program.segments) {
             if (seg.kind != SegmentKind::Code)
@@ -205,8 +208,6 @@ runCisc(const std::string &source, bool trace,
         return 0;
     }
 
-    VaxConfig config;
-    config.caches = caches;
     VaxMachine machine(config);
     machine.loadProgram(program);
     CliTrace tracer;

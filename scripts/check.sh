@@ -2,12 +2,15 @@
 # Tier-1 verify: build, staged test rings, bench smoke, sanitizers.
 #
 # Usage: scripts/check.sh [build-dir] [--sanitize|--no-sanitize]
+#                        [--mutants]
 #
 #   (default)      normal build + full test stages, then a second
 #                  ASan+UBSan build-and-test pass under <build-dir>-asan
 #   --sanitize     configure THIS build with -DSANITIZE=ON and skip the
 #                  trailing sanitizer pass (what CI's asan job runs)
 #   --no-sanitize  normal build only, no trailing sanitizer pass
+#   --mutants      finish with the standing mutation gate
+#                  (scripts/mutants.sh <build-dir>, docs/TESTING.md)
 #
 # ctest runs in labeled stages (see docs/TESTING.md) so a failure names
 # the ring that broke: unit -> property -> differential -> target ->
@@ -20,10 +23,12 @@ set -eu
 cd "$(dirname "$0")/.."
 BUILD=build
 MODE=default
+MUTANTS=no
 for arg in "$@"; do
     case "$arg" in
     --sanitize) MODE=sanitize ;;
     --no-sanitize) MODE=nosanitize ;;
+    --mutants) MUTANTS=yes ;;
     *) BUILD="$arg" ;;
     esac
 done
@@ -292,6 +297,16 @@ if [ "$MODE" = default ]; then
     run_stages "$ASAN_BUILD"
     run_riscdiff "$ASAN_BUILD" 200 0x30ea9d1
     run_riscdiff "$ASAN_BUILD" 2000 0xa17002a4
+fi
+
+# Standing mutation gate (docs/TESTING.md): every row of
+# tests/mutants/rows.txt, applied to a copy of the tree under
+# $BUILD/mutants, must fail ctest and its named killer.  About ten
+# minutes on 4 vCPUs, so it runs only when asked.
+if [ "$MUTANTS" = yes ]; then
+    echo
+    echo "== mutation gate: scripts/mutants.sh =="
+    scripts/mutants.sh "$BUILD"
 fi
 
 echo "check.sh: all green"

@@ -585,12 +585,31 @@ Machine::predecodeWord(std::uint32_t word)
     d.hasDelaySlot = (d.info->cls == InstClass::Jump ||
                       d.info->cls == InstClass::CallRet) &&
                      d.inst.op != Opcode::Calli;
+    d.writesMemory = d.info->cls == InstClass::Store ||
+                     d.inst.op == Opcode::Call ||
+                     d.inst.op == Opcode::Callr ||
+                     d.inst.op == Opcode::Calli;
     unsigned reads = 0, writes = 0;
     operandCounts(d.inst, d.info, reads, writes);
     d.regReads = static_cast<std::uint8_t>(reads);
     d.regWrites = static_cast<std::uint8_t>(writes);
     d.exec = FastOps::resolve(d.inst.op);
     return d;
+}
+
+[[gnu::always_inline]] inline void
+Machine::count(const DecodedInst &d, bool inSlot, std::uint64_t times)
+{
+    stats_.instructions += times;
+    stats_.perOpcode[static_cast<std::uint8_t>(d.inst.op)] += times;
+    stats_.perClass[static_cast<std::size_t>(d.info->cls)] += times;
+    if (inSlot) {
+        stats_.delaySlotsExecuted += times;
+        if (d.nop)
+            stats_.delaySlotNops += times;
+    }
+    stats_.regOperandReads += times * d.regReads;
+    stats_.regOperandWrites += times * d.regWrites;
 }
 
 [[gnu::cold, gnu::noinline]] void
@@ -610,18 +629,7 @@ Machine::issue(const DecodedInst &d)
     if (trace_) [[unlikely]]
         traceInstruction(d);
 
-    ++stats_.instructions;
-    ++stats_.perOpcode[static_cast<std::uint8_t>(d.inst.op)];
-    ++stats_.perClass[static_cast<std::size_t>(d.info->cls)];
-
-    if (inDelaySlot_) {
-        ++stats_.delaySlotsExecuted;
-        if (d.nop)
-            ++stats_.delaySlotNops;
-    }
-
-    stats_.regOperandReads += d.regReads;
-    stats_.regOperandWrites += d.regWrites;
+    count(d, inDelaySlot_, 1);
 
     hasNpcOverride_ = false;
     d.exec(*this, d);
@@ -635,6 +643,14 @@ Machine::issue(const DecodedInst &d)
     inDelaySlot_ = d.hasDelaySlot;
 }
 
+[[gnu::always_inline]] inline void
+Machine::fetchAndIssue()
+{
+    if (hier_)
+        stats_.cycles += hier_->fetch(pc_);
+    issue(predecodeWord(mem_.fetchWord(pc_)));
+}
+
 bool
 Machine::step()
 {
@@ -644,11 +660,219 @@ Machine::step()
     if (interruptPending_)
         maybeAcceptInterrupt();
 
-    if (hier_)
-        stats_.cycles += hier_->fetch(pc_);
-
-    issue(predecodeWord(mem_.fetchWord(pc_)));
+    fetchAndIssue();
     return !halted_;
+}
+
+void
+Machine::buildBlock(Block &b, std::uint32_t pc)
+{
+    // Decode up to the first transfer's delay slot, stopping before a
+    // page end, the end of memory or a word that does not decode.  The
+    // run is appended to the pool; a rebuild that fits the block's old
+    // range moves it back there.
+    const std::uint64_t pageEnd =
+        (static_cast<std::uint64_t>(pc) / Memory::pageBytes + 1) *
+        Memory::pageBytes;
+    const std::uint64_t end = std::min<std::uint64_t>(pageEnd, mem_.size());
+    const std::size_t base = blockInsts_.size();
+    unsigned xfer = maxBlock;
+    for (std::uint64_t addr = pc;
+         blockInsts_.size() - base < maxBlock && addr + 4 <= end;
+         addr += 4) {
+        const std::uint32_t word =
+            mem_.peekWord(static_cast<std::uint32_t>(addr));
+        if (!Instruction::isLegal(word))
+            break;
+        const unsigned i = static_cast<unsigned>(blockInsts_.size() - base);
+        blockInsts_.push_back({predecodeWord(word), word});
+        if (i > xfer)
+            break;  // the delay slot
+        if (xfer == maxBlock && blockInsts_.back().d.hasDelaySlot)
+            xfer = i;
+    }
+
+    const auto n = static_cast<unsigned>(blockInsts_.size() - base);
+    if (n <= b.cap) {
+        std::copy_n(blockInsts_.begin() + static_cast<std::ptrdiff_t>(base),
+                    n, blockInsts_.begin() + b.first);
+        blockInsts_.resize(base);
+    } else {
+        b.first = static_cast<std::uint32_t>(base);
+        b.cap = static_cast<std::uint8_t>(n);
+    }
+    b.n = static_cast<std::uint8_t>(n);
+    b.xfer = static_cast<std::uint8_t>(std::min(xfer, n));
+}
+
+bool
+Machine::sameWords(BlockRecord &b, std::uint32_t pc)
+{
+    // The lines were written (data and code often share pages): an
+    // unchanged run keeps its decode.
+    const BlockInst *in = blockInsts_.data() + b.first;
+    for (unsigned i = 0; i < b.n; ++i)
+        if (mem_.peekWord(pc + 4 * i) != in[i].word)
+            return false;
+    PredecodeCache::revalidate(b, mem_, pc, 4u * b.n);
+    return true;
+}
+
+[[gnu::always_inline]] inline bool
+Machine::current(BlockRecord &b, std::uint32_t pc)
+{
+    return PredecodeCache::valid(b, mem_, pc, 4u * b.n) ||
+           sameWords(b, pc);
+}
+
+Machine::BlockRecord *
+Machine::refreshBlock(std::uint32_t &idx, std::uint32_t pc)
+{
+    if (idx) {
+        BlockRecord &b = predecode_.record(idx);
+        if (b.n > 0 && current(b, pc))
+            return &b;
+        // Its words changed: charge the runs of the old decode first.
+        chargePending();
+        buildBlock(b, pc);
+        PredecodeCache::revalidate(b, mem_, pc,
+                                   4u * std::max<unsigned>(b.n, 1));
+        return b.n > 0 ? &b : nullptr;
+    }
+    Block fresh;
+    buildBlock(fresh, pc);
+    if (fresh.n == 0)
+        return nullptr;
+    BlockRecord &b = predecode_.add(idx);
+    static_cast<Block &>(b) = fresh;
+    PredecodeCache::revalidate(b, mem_, pc, 4u * b.n);
+    return &b;
+}
+
+void
+Machine::chargeRuns(const Block &b, unsigned n, std::uint64_t times)
+{
+    // Only a transfer's successor in the block is a delay slot; a
+    // block entered at one counts it when it runs.
+    const BlockInst *in = blockInsts_.data() + b.first;
+    for (unsigned i = 0; i < n; ++i)
+        count(in[i].d, i > 0 && in[i - 1].d.hasDelaySlot, times);
+    mem_.countFetch(times * n);
+}
+
+void
+Machine::chargePending()
+{
+    for (const std::uint32_t idx : ran_) {
+        BlockRecord &b = predecode_.record(idx);
+        chargeRuns(b, b.n, b.runs);
+        b.runs = 0;
+    }
+    ran_.clear();
+}
+
+template <bool Hier>
+[[gnu::always_inline]] inline std::uint64_t
+Machine::runBlock(BlockRecord &b, std::uint32_t idx)
+{
+    const BlockInst *in = blockInsts_.data() + b.first;
+    const std::uint32_t start = pc_;
+
+    // Entered at the delay slot of an untaken transfer (a run resumed
+    // there, or the transfer ended the previous page): the slot's
+    // counters are dynamic.
+    if (inDelaySlot_) {
+        ++stats_.delaySlotsExecuted;
+        if (in[0].d.nop)
+            ++stats_.delaySlotNops;
+    }
+
+    // A block cut short charges what ran at once, as issue() would
+    // have.  @p done instructions completed or faulted; @p advanced
+    // says whether the last one moved the pc.
+    auto leave = [&](unsigned done, bool advanced) {
+        chargeRuns(b, done, 1);
+        if (advanced)
+            inDelaySlot_ = in[done - 1].d.hasDelaySlot;
+        else if (done > 1)
+            inDelaySlot_ = in[done - 2].d.hasDelaySlot;
+        return std::uint64_t{done};
+    };
+
+    // Per instruction: the L1I fetch, the handler and the pc advance.
+    // Before the transfer nothing can jump or halt, so the pc advance
+    // is three stores.
+    unsigned i = 0;
+    std::uint32_t pc = start;
+    hasNpcOverride_ = false;
+    try {
+        for (; i < b.xfer; ++i, pc += 4) {
+            const DecodedInst &d = in[i].d;
+            if constexpr (Hier)
+                stats_.cycles += hier_->fetch(pc);
+            d.exec(*this, d);
+            lastPc_ = pc;
+            pc_ = pc + 4;
+            npc_ = pc + 8;
+            // A write may have rewritten the rest of the block.
+            if (d.writesMemory && !current(b, start)) [[unlikely]]
+                return leave(i + 1, true);
+        }
+        for (; i < b.n; ++i) {
+            const DecodedInst &d = in[i].d;
+            pc = pc_;
+            if constexpr (Hier)
+                stats_.cycles += hier_->fetch(pc);
+            hasNpcOverride_ = false;
+            d.exec(*this, d);
+            lastPc_ = pc;
+            if (halted_) [[unlikely]]
+                return leave(i + 1, false);  // before the slot
+            pc_ = npc_;
+            npc_ = hasNpcOverride_ ? npcOverride_ : npc_ + 4;
+            if (d.writesMemory && !current(b, start)) [[unlikely]]
+                return leave(i + 1, true);
+        }
+    } catch (...) {
+        // step()'s state at a fault: counted through the faulting
+        // instruction, its pc not advanced.
+        leave(i + 1, false);
+        throw;
+    }
+
+    // The whole block ran: its counters are charged once, when runFast
+    // returns (chargePending()).
+    if (b.runs++ == 0)
+        ran_.push_back(idx);
+    inDelaySlot_ = in[b.n - 1].d.hasDelaySlot;
+    return b.n;
+}
+
+std::uint64_t
+Machine::stepBlock(BlockRecord &b, std::uint64_t budget)
+{
+    const BlockInst *in = blockInsts_.data() + b.first;
+    const std::uint32_t start = pc_;
+    std::uint64_t done = 0;
+    for (unsigned i = 0; i < b.n; ++i) {
+        if (i > 0) {
+            if (halted_ || done == budget)
+                break;
+            if (in[i - 1].d.writesMemory && !current(b, start))
+                break;
+            if (interruptPending_)
+                maybeAcceptInterrupt();
+            // An accepted interrupt or a taken transfer leaves the run.
+            if (pc_ != start + 4 * i)
+                break;
+        }
+        if (hier_)
+            stats_.cycles += hier_->fetch(pc_);
+        mem_.countFetch();
+        issue(in[i].d);
+        ++done;
+    }
+    return done;
 }
 
 RunOutcome
@@ -656,42 +880,47 @@ Machine::runFast(std::uint64_t maxSteps)
 {
     RunOutcome outcome;
     predecode_.sync(mem_);
+    // Whole block runs are charged when the loop ends, however it ends.
+    struct ChargeOnExit
+    {
+        Machine &m;
+        ~ChargeOnExit() { m.chargePending(); }
+    } charge{*this};
+
+    PredecodeCache::Cursor cursor(predecode_);
 
     while (!halted_ && outcome.steps < maxSteps) {
         if (interruptPending_)
             maybeAcceptInterrupt();
 
         const std::uint32_t pc = pc_;
-        if (hier_)
-            stats_.cycles += hier_->fetch(pc);
-
-        // A misaligned or out-of-range PC raises step()'s exact fetch
-        // fault (fetchWord throws before it counts, so the statistics
-        // stay aligned too).
-        if ((pc & 3u) != 0 ||
-            static_cast<std::uint64_t>(pc) + 4 > mem_.size())
-            (void)mem_.fetchWord(pc);
-
-        // An aligned word never spans two generation lines, so one
-        // line generation validates the slot.
-        PredecodeCache::Slot &e = predecode_.slot(pc);
-        if (PredecodeCache::validInLine(e, mem_, pc)) {
-            // Clean hit: the lines are unwritten since this slot was
-            // validated.  Count the fetch step() would have done.
-            mem_.countFetch();
-        } else {
-            // The lines were written (data and code often share
-            // pages) or the slot was never filled: re-fetch and
-            // revalidate.  An unchanged word keeps its decode; only a
-            // genuinely new word pays for a fresh decode.
-            const std::uint32_t word = mem_.fetchWord(pc);
-            if (e.empty() || e.payload.word != word)
-                e.payload.d = predecodeWord(word);
-            e.payload.word = word;
-            PredecodeCache::revalidate(e, mem_, pc, 4);
+        BlockRecord *b = nullptr;
+        std::uint32_t *idx = nullptr;
+        if ((pc & 3u) == 0 &&
+            static_cast<std::uint64_t>(pc) + 4 <= mem_.size()) {
+            idx = &cursor.index(pc);
+            b = *idx ? &predecode_.record(*idx) : nullptr;
+            // A block whose first word stopped decoding is rebuilt on
+            // every visit, so its fault is raised again.
+            if (!b || b->n == 0 ||
+                !PredecodeCache::valid(*b, mem_, pc, 4u * b->n))
+                b = refreshBlock(*idx, pc);
         }
-        issue(e.payload.d);
-        ++outcome.steps;
+        if (!b) {
+            // A misaligned or out-of-range PC, or a word that does not
+            // decode: step()'s fetch and decode raise its exact fault.
+            fetchAndIssue();
+            ++outcome.steps;
+            continue;
+        }
+
+        const std::uint64_t budget = maxSteps - outcome.steps;
+        if (!trace_ && !interruptPending_ && npc_ == pc + 4 &&
+            budget >= b->n)
+            outcome.steps += hier_ ? runBlock<true>(*b, *idx)
+                                   : runBlock<false>(*b, *idx);
+        else
+            outcome.steps += stepBlock(*b, budget);
     }
     outcome.halted = halted_;
     return outcome;

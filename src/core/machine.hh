@@ -175,14 +175,17 @@ class Machine;
  */
 struct DecodedInst
 {
-    Instruction inst;
-    const OpcodeInfo *info = nullptr;
     /** Resolved handler: the opcode's only statement of semantics. */
     void (*exec)(Machine &, const DecodedInst &) = nullptr;
+    const OpcodeInfo *info = nullptr;
+    Instruction inst;
     std::uint8_t regReads = 0;   ///< register operands read
     std::uint8_t regWrites = 0;  ///< register operands written
     bool nop = false;            ///< isNop(inst)
     bool hasDelaySlot = false;   ///< transfer with architectural slot
+    /** May write memory: a store, or a call whose window spill or
+     *  no-window save writes the stack. */
+    bool writesMemory = false;
 };
 
 /** The RISC I processor simulator. */
@@ -216,12 +219,17 @@ class Machine
      * that need a budget, like the batch engine, check `halted`).
      *
      * step() is this loop without the decode cache: both decode into
-     * the same DecodedInst and execute it through the same
-     * per-instruction routine, so registers, PSW, memory, every
-     * RunStats/MemoryStats/cache counter, interrupt acceptance,
-     * delay-slot behavior and trace events are identical.  The cache
-     * keys on Memory's per-line write generations, so self-modifying
-     * code and snapshot restore invalidate it; see docs/SIM.md.
+     * the same DecodedInst and execute it through the same handlers,
+     * so registers, PSW, memory, every RunStats/MemoryStats/cache
+     * counter, interrupt acceptance, delay-slot behavior and trace
+     * events are identical.  The cache holds blocks — the decoded run
+     * from a start address through the first transfer's delay slot —
+     * run with one lookup and one validation, their statistics charged
+     * once per block; a tracer, a pending interrupt or a budget ending
+     * inside a block runs its records one issue() at a time.  The
+     * cache keys on Memory's per-line write generations, so
+     * self-modifying code and snapshot restore invalidate it; see
+     * docs/SIM.md.
      */
     RunOutcome runFast(std::uint64_t maxSteps = 200'000'000);
 
@@ -277,6 +285,15 @@ class Machine
         return hier_ ? hier_->stats() : mem::HierarchyStats{};
     }
 
+    /** Bytes the fast path's decode cache has allocated (0 until the
+     *  first runFast()). */
+    std::uint64_t decodeBytes() const
+    {
+        return predecode_.bytes() +
+               blockInsts_.capacity() * sizeof(BlockInst) +
+               ran_.capacity() * sizeof(ran_[0]);
+    }
+
     /**
      * Capture the complete machine state (registers, PSW, window
      * bookkeeping, pending interrupt, statistics, dirty memory pages,
@@ -298,20 +315,43 @@ class Machine
   private:
     friend struct FastOps;   ///< per-opcode handlers (machine.cc)
 
-    /** Decode-cache payload: one word-aligned code address. */
-    struct PredecodePayload
+    /** Longest block, in instructions: 64 bytes, so a block spans at
+     *  most two write-generation lines. */
+    static constexpr unsigned maxBlock = 16;
+
+    /** One instruction of a block: its record and the raw word it was
+     *  decoded from (an unchanged word keeps its decode when the
+     *  block's lines are written, so data stores that merely land
+     *  near code cost a compare, not a re-decode). */
+    struct BlockInst
     {
         DecodedInst d;
-        /** Raw instruction word @ref d was decoded from; an unchanged
-         *  word keeps its decode on revalidation, so data stores that
-         *  merely land near code cost one word compare, not a
-         *  re-decode. */
         std::uint32_t word = 0;
     };
 
-    /** One slot per word-aligned address (see target/decode_cache.hh
-     *  for the shared generation-validation machinery). */
-    using PredecodeCache = target::DecodeCache<PredecodePayload, 2>;
+    /**
+     * A block: the decoded run from its start address through the
+     * first transfer's delay slot, ending earlier at a page end, at a
+     * word that does not decode, or at maxBlock instructions.  Its
+     * instructions are blockInsts_[first, first + n).
+     */
+    struct Block
+    {
+        /** Whole runs not yet charged to the statistics (see
+         *  chargePending()). */
+        std::uint64_t runs = 0;
+        std::uint32_t first = 0;  ///< index of its first BlockInst
+        std::uint8_t n = 0;       ///< instructions; 0 = first word illegal
+        std::uint8_t cap = 0;     ///< BlockInsts reserved at @ref first
+        /** Index of its transfer (n when it has none): the
+         *  instructions before it run straight through. */
+        std::uint8_t xfer = 0;
+    };
+
+    /** One index per word-aligned address, naming the block that
+     *  starts there (see target/decode_cache.hh). */
+    using PredecodeCache = target::DecodeCache<Block, 2>;
+    using BlockRecord = PredecodeCache::Record;
 
     void doCall(std::uint32_t target, unsigned rd, bool isInterrupt);
     void doReturn(std::uint32_t target, bool isInterrupt);
@@ -324,8 +364,41 @@ class Machine
     /** Execute @p d at pc_: trace, statistics, semantics, pc advance —
      *  the one per-instruction routine step() and runFast() share. */
     void issue(const DecodedInst &d);
+    /** step() after its interrupt check: L1I fetch, counted fetch,
+     *  decode, issue(). */
+    void fetchAndIssue();
+    /** Add @p times executions of @p d (in a delay slot when
+     *  @p inSlot) to the per-instruction counters: the accounting
+     *  issue() and the block tier share. */
+    void count(const DecodedInst &d, bool inSlot, std::uint64_t times);
     /** Record @p d's trace event (cold: only runs with a tracer). */
     void traceInstruction(const DecodedInst &d);
+
+    /** Validate, rebuild or first build the block at @p pc (aligned,
+     *  in range) that @p idx names (0 = none yet); nullptr when its
+     *  first word does not decode. */
+    BlockRecord *refreshBlock(std::uint32_t &idx, std::uint32_t pc);
+    /** Decode the block starting at @p pc into @p b. */
+    void buildBlock(Block &b, std::uint32_t pc);
+    /** Is @p b, starting at @p pc, still what memory holds?  A block
+     *  whose lines moved but whose words did not is restamped. */
+    bool current(BlockRecord &b, std::uint32_t pc);
+    /** current() once @p b's lines moved: compare its words. */
+    bool sameWords(BlockRecord &b, std::uint32_t pc);
+    /** Run all of block @p b (index @p idx) from pc_ — runFast's
+     *  block tier — adding one to its uncharged runs.  @return
+     *  instructions executed. */
+    template <bool Hier>
+    std::uint64_t runBlock(BlockRecord &b, std::uint32_t idx);
+    /** Run @p b one issue() at a time, within @p budget steps (tracer,
+     *  pending interrupt, short budget, taken transfer pending). */
+    std::uint64_t stepBlock(BlockRecord &b, std::uint64_t budget);
+    /** Charge @p times runs of @p b's first @p n instructions: the
+     *  counters issue() would have added one at a time. */
+    void chargeRuns(const Block &b, unsigned n, std::uint64_t times);
+    /** Charge every block's uncharged runs (when runFast() returns or
+     *  unwinds, and before a block is rebuilt). */
+    void chargePending();
 
     MachineConfig config_;
     Memory mem_;
@@ -358,8 +431,12 @@ class Machine
 
     std::optional<mem::Hierarchy> hier_;
 
-    /** Lazily populated decode cache, one image per memory page. */
+    /** Lazily populated decode cache: per-page block indexes. */
     PredecodeCache predecode_;
+    /** Every block's instructions, appended as blocks are built. */
+    std::vector<BlockInst> blockInsts_;
+    /** Indexes of the blocks with uncharged runs. */
+    std::vector<std::uint32_t> ran_;
 };
 
 } // namespace risc1

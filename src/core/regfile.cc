@@ -57,6 +57,9 @@ RegFile::restore(const std::vector<std::uint32_t> &phys, unsigned cwp)
     if (cwp >= config_.numWindows)
         fatal(cat("regfile restore: CWP ", cwp, " out of range for ",
                   config_.numWindows, " windows"));
+    if (phys[0] != 0)
+        fatal(cat("regfile restore: r0 holds 0x", std::hex, phys[0],
+                  ", not 0"));
     phys_ = phys;
     setCwp(cwp);
 }

@@ -71,12 +71,15 @@ RegGroup regGroup(unsigned reg);
  * registers of a frame to/from memory.
  *
  * Like RISC I's register decoder, the mapping costs nothing per
- * access: the file caches the physical base of the current window's
- * LOW/LOCAL registers and of its HIGH registers (the LOW of the window
- * above, i.e. the caller's), and recomputes both whenever the CWP
- * moves — construction, pushWindow(), popWindow(), reset() and
- * restore().  An access is then a compare or two and an add: no
- * division, no out-of-line call (docs/ISA.md).
+ * access: the file keeps a 32-entry table from each visible register
+ * to its physical index in the current window — globals to
+ * themselves, LOW/LOCAL to the window's own frame, HIGH to the LOW of
+ * the window above (the caller's) — and rewrites its 22 windowed
+ * entries whenever the CWP moves: construction, pushWindow(),
+ * popWindow(), reset() and restore().  An access is then one table
+ * load: no compare on the register number, no division, no
+ * out-of-line call (docs/ISA.md).  r0 maps to physical register 0,
+ * which no write reaches, so it reads 0.
  */
 class RegFile
 {
@@ -92,7 +95,7 @@ class RegFile
     std::uint32_t
     read(unsigned reg) const
     {
-        return reg == 0 ? 0 : phys_[physIndex(reg)];
+        return phys_[physIndex(reg)];
     }
 
     /** Write visible register @p reg; writes to r0 are discarded. */
@@ -139,11 +142,7 @@ class RegFile
     {
         if (reg >= 32)
             badRegister(reg);
-        if (reg < 10)
-            return reg;
-        // LOW at frame offsets 0..5, LOCAL at 6..15; HIGH of this
-        // window is LOW of the window above (the caller).
-        return reg < 26 ? lowBase_ + (reg - 10) : highBase_ + (reg - 26);
+        return map_[reg];
     }
 
     /** Zero every physical register and reset CWP. */
@@ -173,13 +172,19 @@ class RegFile
         return window + 1 == config_.numWindows ? 0 : window + 1;
     }
 
-    /** Move the CWP and recompute the cached window bases. */
+    /** Move the CWP and remap the windowed registers. */
     void
     setCwp(unsigned cwp)
     {
         cwp_ = cwp;
-        lowBase_ = windowBase(cwp);
-        highBase_ = windowBase(nextWindow(cwp));
+        // LOW at frame offsets 0..5, LOCAL at 6..15; HIGH of this
+        // window is LOW of the window above (the caller).
+        const unsigned low = windowBase(cwp);
+        const unsigned high = windowBase(nextWindow(cwp));
+        for (unsigned r = 10; r < 26; ++r)
+            map_[r] = static_cast<std::uint16_t>(low + (r - 10));
+        for (unsigned r = 26; r < 32; ++r)
+            map_[r] = static_cast<std::uint16_t>(high + (r - 26));
     }
 
     /** Physical index of frameReg(@p window, @p index). */
@@ -202,8 +207,8 @@ class RegFile
     WindowConfig config_;
     std::vector<std::uint32_t> phys_;
     unsigned cwp_ = 0;
-    unsigned lowBase_ = 0;   ///< phys_ index of this window's r10
-    unsigned highBase_ = 0;  ///< phys_ index of this window's r26
+    /** Physical index of each visible register in this window. */
+    std::array<std::uint16_t, 32> map_{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
 };
 
 } // namespace risc1

@@ -115,6 +115,9 @@ struct MemoryUsage
     /** Bytes in non-zero pages aliased by snapshots, images, or
      *  forks of this memory. */
     std::uint64_t sharedBytes = 0;
+    /** Bytes the machine's fast-path decode cache has allocated (0
+     *  from Memory::usage(); Target::memUsage() fills it in). */
+    std::uint64_t decodeBytes = 0;
 };
 
 /**

@@ -198,6 +198,7 @@ Service::collectGauges()
     registry_.gauge("sessions.snapshots").set(double(c.snapshots));
     registry_.gauge("fleet.residentBytes").set(double(c.residentBytes));
     registry_.gauge("fleet.sharedBytes").set(double(c.sharedBytes));
+    registry_.gauge("fleet.decodeBytes").set(double(c.decodeBytes));
 
     // The engine queue is the run queue: its depth is the runs ready
     // for a turn, its active tasks the turns executing.
@@ -327,10 +328,12 @@ Service::cmdInfo()
         .field("snapshots", std::uint64_t(c.snapshots))
         // Copy-on-write accounting summed over the resident sessions
         // (docs/MEMORY.md): residentBytes is the private page deltas,
-        // sharedBytes the pages aliased with snapshots and forks.
-        // riscload asserts forked fleets keep residentBytes flat.
+        // sharedBytes the pages aliased with snapshots and forks,
+        // decodeBytes the fast paths' decode caches.  riscload
+        // asserts forked fleets keep residentBytes flat.
         .field("residentBytes", c.residentBytes)
         .field("sharedBytes", c.sharedBytes)
+        .field("decodeBytes", c.decodeBytes)
         .endObject();
     w.key("runs")
         .beginObject()
@@ -607,12 +610,14 @@ Service::cmdStats(const JsonValue &req)
     stats->writeJson(w);
     w.endObject();
     // This session's own copy-on-write footprint: the pages only it
-    // holds vs the pages it still shares with snapshots/forks.
+    // holds vs the pages it still shares with snapshots/forks, and
+    // what its fast path's decode cache has allocated.
     const MemoryUsage usage = session->target->memUsage();
     w.key("memory")
         .beginObject()
         .field("residentBytes", usage.residentBytes)
         .field("sharedBytes", usage.sharedBytes)
+        .field("decodeBytes", usage.decodeBytes)
         .endObject();
     w.key("metrics");
     session->metrics.writeJson(w);

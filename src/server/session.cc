@@ -193,6 +193,7 @@ SessionManager::counts() const
             const MemoryUsage usage = session->target->memUsage();
             counts.residentBytes += usage.residentBytes;
             counts.sharedBytes += usage.sharedBytes;
+            counts.decodeBytes += usage.decodeBytes;
         } else {
             ++counts.evicted;
         }

@@ -118,10 +118,12 @@ struct SessionCounts
      * sharedBytes sums the pages sessions alias with snapshots and
      * forks.  A fleet of forks over one warmed snapshot shows a small
      * resident total however many sessions exist — the scaling
-     * property riscload asserts.
+     * property riscload asserts.  decodeBytes sums what the
+     * sessions' fast-path decode caches have allocated.
      */
     std::uint64_t residentBytes = 0;
     std::uint64_t sharedBytes = 0;
+    std::uint64_t decodeBytes = 0;
 };
 
 /**

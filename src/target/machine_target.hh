@@ -107,7 +107,9 @@ class MachineTarget final : public Target
     std::unique_ptr<Target> fork() const override;
     MemoryUsage memUsage() const override
     {
-        return machine_.memory().usage();
+        MemoryUsage usage = machine_.memory().usage();
+        usage.decodeBytes = machine_.decodeBytes();
+        return usage;
     }
 
     /** The wrapped machine, for callers that need ISA specifics. */

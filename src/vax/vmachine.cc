@@ -797,27 +797,30 @@ VaxMachine::runFast(std::uint64_t maxSteps)
     RunOutcome outcome;
     predecode_.sync(mem_);
 
+    PredecodeCache::Cursor cursor(predecode_);
+
     while (!halted_ && outcome.steps < maxSteps) {
         const std::uint32_t pc = regs_[vaxPc];
         if (hier_)
             stats_.cycles += hier_->fetch(pc);
 
-        // A PC outside memory has no slot: the decoder below raises
+        // A PC outside memory has no index: the decoder below raises
         // step()'s fetch fault.
-        PredecodeCache::Slot *e =
-            pc < mem_.size() ? &predecode_.slot(pc) : nullptr;
+        std::uint32_t *idx =
+            pc < mem_.size() ? &cursor.index(pc) : nullptr;
+        PredecodeCache::Record *e =
+            idx && *idx ? &predecode_.record(*idx) : nullptr;
         bool hit = false;
-        if (e && !e->empty()) {
-            const PredecodePayload &p = e->payload;
-            hit = PredecodeCache::valid(*e, mem_, pc, p.len);
+        if (e) {
+            hit = PredecodeCache::valid(*e, mem_, pc, e->len);
             if (!hit) {
                 // The lines were written (data and code often share
                 // pages): an unchanged encoding keeps its record.
                 hit = true;
-                for (unsigned i = 0; i < p.len && hit; ++i)
-                    hit = p.raw[i] == mem_.peekByte(pc + i);
+                for (unsigned i = 0; i < e->len && hit; ++i)
+                    hit = e->raw[i] == mem_.peekByte(pc + i);
                 if (hit)
-                    PredecodeCache::revalidate(*e, mem_, pc, p.len);
+                    PredecodeCache::revalidate(*e, mem_, pc, e->len);
             }
         }
 
@@ -825,7 +828,7 @@ VaxMachine::runFast(std::uint64_t maxSteps)
         if (hit) {
             // Replay: the stream accounting of the byte-wise fetch,
             // then each specifier in stream order.
-            const PredecodePayload &p = e->payload;
+            const PredecodePayload &p = *e;
             mem_.countFetch(p.len);
             stats_.instrBytes += p.len;
             beginInstruction(*p.info, pc);
@@ -836,15 +839,18 @@ VaxMachine::runFast(std::uint64_t maxSteps)
             regs_[vaxPc] = pc + p.len;
             execute(*p.info, ops);
         } else {
-            // Miss: decode live.  A faulting decode leaves the slot as
+            // Miss: decode live.  A faulting decode leaves the cache as
             // it was; a stored one is revalidated before execute(),
-            // which may overwrite the instruction's own bytes.
+            // which may overwrite the instruction's own bytes.  A
+            // changed instruction is rewritten in its own record.
             PredecodePayload inst;
-            if (decode(inst, ops) && e) {
+            if (decode(inst, ops) && idx) {
                 for (unsigned i = 0; i < inst.len; ++i)
                     inst.raw[i] = mem_.peekByte(pc + i);
-                e->payload = inst;
-                PredecodeCache::revalidate(*e, mem_, pc, inst.len);
+                PredecodeCache::Record &r =
+                    *idx ? predecode_.record(*idx) : predecode_.add(*idx);
+                static_cast<PredecodePayload &>(r) = inst;
+                PredecodeCache::revalidate(r, mem_, pc, inst.len);
             }
             execute(*inst.info, ops);
         }

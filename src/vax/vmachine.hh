@@ -206,6 +206,10 @@ class VaxMachine
         return hier_ ? hier_->stats() : mem::HierarchyStats{};
     }
 
+    /** Bytes the fast path's decode cache has allocated (0 until the
+     *  first runFast()). */
+    std::uint64_t decodeBytes() const { return predecode_.bytes(); }
+
     /**
      * Install (or clear, with nullptr) an execution tracer.  While
      * installed, every executed instruction is recorded into @p trace
@@ -281,7 +285,7 @@ class VaxMachine
     };
 
     /** One decoded instruction: what decode() produces and the
-     *  decode cache stores, one slot per byte address. */
+     *  decode cache stores at the address it starts at. */
     struct PredecodePayload
     {
         const VaxOpInfo *info = nullptr;
@@ -290,8 +294,9 @@ class VaxMachine
         std::array<PredecodedSpec, vaxMaxOperands> specs{};
     };
 
-    /** One slot per byte address (variable-length encoding); see
-     *  target/decode_cache.hh for the shared validation machinery. */
+    /** One index per byte address (variable-length encoding), naming
+     *  the record of the instruction that starts there; see
+     *  target/decode_cache.hh for the shared machinery. */
     using PredecodeCache = target::DecodeCache<PredecodePayload, 0>;
 
     /**
@@ -321,7 +326,7 @@ class VaxMachine
 
     std::optional<mem::Hierarchy> hier_;
 
-    /** Lazily populated decode cache, one image per memory page. */
+    /** Lazily populated decode cache: per-page record indexes. */
     PredecodeCache predecode_;
 };
 

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/logging.hh"
 #include "helpers.hh"
 #include "workloads/workloads.hh"
 
@@ -358,6 +359,284 @@ TEST(FastPath, TraceSeesEveryInstruction)
     ASSERT_TRUE(out.halted);
     EXPECT_EQ(hookCalls, out.steps);
     EXPECT_EQ(hookCalls, m.stats().instructions);
+}
+
+/** How a run ended: halted, stopped by its budget, or faulted. */
+struct Ending
+{
+    bool faulted = false;
+    std::string error;
+};
+
+/** Run @p m to halt (or @p maxSteps) one step() at a time. */
+Ending
+stepToEnd(Machine &m, std::uint64_t maxSteps)
+{
+    Ending e;
+    try {
+        for (std::uint64_t i = 0; i < maxSteps && m.step(); ++i) {
+        }
+    } catch (const FatalError &err) {
+        e.faulted = true;
+        e.error = err.what();
+    }
+    return e;
+}
+
+/** Run @p m to halt (or @p maxSteps) through the fast path. */
+Ending
+runFastToEnd(Machine &m, std::uint64_t maxSteps)
+{
+    Ending e;
+    try {
+        m.runFast(maxSteps);
+    } catch (const FatalError &err) {
+        e.faulted = true;
+        e.error = err.what();
+    }
+    return e;
+}
+
+/**
+ * Block edges.  runFast() runs a straight-line run through a delay
+ * slot as one block, charging its counters once; these cases sit on
+ * the edges of that rule and must still match step() snapshot for
+ * snapshot.
+ */
+
+/** A store rewrites a later word of the block it sits in, on a cold
+ *  pass and again once the block is built, each time with another
+ *  opcode, so the rebuilt block counts differently. */
+TEST(FastPathBlocks, StoreRewritesLaterWordOfItsOwnBlock)
+{
+    const std::uint32_t other =
+        Instruction::aluImm(Opcode::Add, 1, 1, 100).encode();
+    const std::uint32_t orig =
+        Instruction::aluImm(Opcode::Sub, 1, 1, 1).encode();
+    std::ostringstream src;
+    src << std::hex << R"(
+        .org  0x1000
+start:  clr   r1
+        clr   r5
+        ldi   r2, words
+        ldi   r4, patch
+loop:   ldl   r3, (r2)
+        stl   r3, (r4)    ; rewrites `patch`, three words on
+        add   r2, r2, 4
+        add   r5, r5, 1
+patch:  add   r1, r1, 1
+        cmp   r5, 4
+        bne   loop
+        nop
+        halt
+        .org  0x1800
+words:  .word 0x)" << other << ", 0x" << orig << ", 0x" << other
+        << ", 0x" << orig << "\n";
+    expectLockstep(src.str());
+
+    Machine m;
+    m.loadProgram(assembleRisc(src.str()));
+    ASSERT_TRUE(m.runFast().halted);
+    EXPECT_EQ(m.reg(1), 198u);  // 100 - 1 + 100 - 1
+}
+
+/** With two windows every call spills; here the spill lands on the
+ *  calling block's own delay slot, which then runs as the spilled
+ *  register value: `add r1, r1, 100`. */
+TEST(FastPathBlocks, WindowSpillOverwritesTheCallersDelaySlot)
+{
+    MachineConfig config;
+    config.windows.numWindows = 2;
+    config.saveAreaTop = 0x3000;
+    const std::uint32_t spilled =
+        Instruction::aluImm(Opcode::Add, 1, 1, 100).encode();
+    std::ostringstream src;
+    src << R"(
+        .org  0x2fb0
+start:  ldi   r2, value
+        ldl   r16, (r2)
+        mov   r17, r16
+        mov   r18, r16
+        mov   r19, r16
+        mov   r20, r16
+        mov   r21, r16
+        mov   r22, r16
+        mov   r23, r16
+        mov   r24, r16
+        mov   r25, r16
+        mov   r26, r16
+        mov   r27, r16
+        mov   r28, r16
+        mov   r29, r16
+        mov   r30, r16
+        mov   r31, r16
+caller: call  callee      ; spills its frame over 0x2fc0..0x2fff
+slot:   nop               ; ...so this runs as `add r1, r1, 100`
+done:   halt
+callee: add   r1, r1, 1
+        ret
+        nop
+        .org  0x4000
+value:  .word 0x)" << std::hex << spilled << "\n";
+    const Program prog = assembleRisc(src.str());
+    ASSERT_EQ(prog.symbol("slot"), config.saveAreaTop - 4);
+    expectLockstep(src.str(), config);
+
+    Machine m(config);
+    m.loadProgram(prog);
+    ASSERT_TRUE(m.runFast().halted);
+    EXPECT_EQ(m.reg(1), 101u);
+    EXPECT_EQ(m.stats().windowOverflows, 1u);
+}
+
+/** A misaligned load faults in the middle of a built block: the fault
+ *  text and the state it leaves are step()'s. */
+TEST(FastPathBlocks, FaultMidBlockLeavesStepsState)
+{
+    const char *const src = R"(
+        .org  0x1000
+start:  ldi   r3, 0x2000
+        clr   r5
+loop:   add   r5, r5, 1
+        ldl   r4, (r3)    ; r3 = 0x2006 on the second pass
+        add   r6, r6, 1
+        add   r3, r3, 6
+        cmp   r5, 10
+        bne   loop
+        nop
+        halt
+)";
+    const Program prog = assembleRisc(src);
+    for (const bool cached : {false, true}) {
+        SCOPED_TRACE(cached ? "fitted L1I" : "no hierarchy");
+        MachineConfig config;
+        if (cached)
+            config.caches.l1i = mem::LevelConfig{256, 16, 4};
+        Machine slow(config), fast(config);
+        slow.loadProgram(prog);
+        fast.loadProgram(prog);
+        const Ending ds = stepToEnd(slow, 1000);
+        const Ending df = runFastToEnd(fast, 1000);
+        ASSERT_TRUE(ds.faulted);
+        EXPECT_EQ(df.faulted, ds.faulted);
+        EXPECT_EQ(df.error, ds.error);
+        // ldi (two words) and clr, one whole pass, then the add and
+        // the faulting load of the second.
+        EXPECT_EQ(slow.stats().instructions, 3u + 7u + 2u);
+        expectSameState(slow.snapshot(), fast.snapshot());
+    }
+}
+
+/** A store turns the first word of a built block into one that does
+ *  not decode: the jump back faults, and so does every later run from
+ *  there, on both tiers alike. */
+TEST(FastPathBlocks, BlockWhoseFirstWordStopsDecodingFaultsAgain)
+{
+    std::uint32_t illegal = 0;
+    while (Instruction::isLegal(illegal))
+        illegal += 1u << 25;
+    std::ostringstream src;
+    src << R"(
+        .org  0x1000
+start:  ldi   r2, bad
+        ldl   r3, (r2)
+        ldi   r4, target
+        bra   target
+        nop
+target: add   r1, r1, 1
+        stl   r3, (r4)    ; the block's own first word
+        bra   target
+        nop
+        .org  0x1800
+bad:    .word 0x)" << std::hex << illegal << "\n";
+    const Program prog = assembleRisc(src.str());
+    ASSERT_NE(prog.symbol("target") % 64, 0u);  // mid-line, one line span
+    Machine slow, fast;
+    slow.loadProgram(prog);
+    fast.loadProgram(prog);
+    for (int run = 0; run < 3; ++run) {
+        SCOPED_TRACE(::testing::Message() << "run " << run);
+        const Ending ds = stepToEnd(slow, 1000);
+        const Ending df = runFastToEnd(fast, 1000);
+        ASSERT_TRUE(ds.faulted);
+        EXPECT_EQ(df.faulted, ds.faulted);
+        EXPECT_EQ(df.error, ds.error);
+        expectSameState(slow.snapshot(), fast.snapshot());
+    }
+}
+
+/** A branch into the middle of a block already built from an earlier
+ *  start address. */
+TEST(FastPathBlocks, JumpIntoTheMiddleOfABuiltBlock)
+{
+    expectLockstep(R"(
+        .org  0x1000
+start:  clr   r1
+        clr   r2
+top:    add   r1, r1, 1
+mid:    add   r2, r2, 3
+        cmp   r2, 30
+        blt   mid         ; into the block that started at `start`
+        add   r1, r1, 2
+        cmp   r1, 40
+        blt   top         ; and into the one that started at `mid`
+        nop
+        halt
+)");
+}
+
+/** Transfers in a page's last word put their delay slots on the next
+ *  page: the next block is entered at a slot, once after an untaken
+ *  branch (sequential) and many times after taken ones. */
+TEST(FastPathBlocks, TransferInAPagesLastWord)
+{
+    const char *const src = R"(
+        .org  0x1fec
+start:  clr   r1
+loop:   add   r1, r1, 1
+        add   r2, r2, 3
+        cmp   r1, 5
+        bne   loop        ; 0x1ffc: its slot is on the next page
+        add   r2, r2, 1
+        ldi   r3, 0
+        bra   next
+        nop
+        .org  0x2ff0
+next:   add   r3, r3, 1
+        cmp   r3, 3
+        bne   next        ; 0x2ff8
+        nop               ; 0x2ffc: a NOP slot in the page's last word
+        bra   out         ; 0x3000: the next page opens on a transfer
+        nop
+out:    halt
+)";
+    const Program prog = assembleRisc(src);
+    ASSERT_EQ(prog.symbol("loop") + 12, 0x1ffcu);
+    ASSERT_EQ(prog.symbol("next") + 8, 0x2ff8u);
+    expectLockstep(src);
+}
+
+/** A run stopped after every k instructions, k = 1..32 — inside
+ *  blocks, on transfers, on delay slots, between calls — and resumed
+ *  to halt matches step() at every stop. */
+TEST(FastPathBlocks, EveryStepBudgetMatchesAtEveryStop)
+{
+    const Program prog = assembleRisc(findWorkload("fib_rec").riscSource);
+    for (std::uint64_t k = 1; k <= 32; ++k) {
+        SCOPED_TRACE(::testing::Message() << "k=" << k);
+        Machine slow, fast;
+        slow.loadProgram(prog);
+        fast.loadProgram(prog);
+        while (!fast.halted()) {
+            for (std::uint64_t i = 0; i < k && slow.step(); ++i) {
+            }
+            const RunOutcome out = fast.runFast(k);
+            ASSERT_EQ(out.halted, slow.halted());
+            ASSERT_TRUE(slow.snapshot() == fast.snapshot())
+                << "diverged at instruction " << slow.stats().instructions;
+        }
+        EXPECT_TRUE(slow.halted());
+    }
 }
 
 } // namespace

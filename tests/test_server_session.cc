@@ -597,6 +597,49 @@ TEST(ServerSession, InfoReportsCounts)
     cleanupSpool(cfg);
 }
 
+/** The decode cache's allocation rides next to the page footprint:
+ *  in a session's `stats`, in `info`'s totals and as a gauge.  It is 0
+ *  until a run takes the fast path (`step` runs the step tier). */
+TEST(ServerSession, DecodeBytesReportedNextToPageFootprint)
+{
+    const auto cfg = testConfig("decode");
+    {
+        Service service(cfg);
+        Driver d(service);
+        const std::string id =
+            d.ok(createReq("vax")).stringOr("session", "");
+        const std::string statsReq =
+            "{\"cmd\":\"stats\",\"session\":\"" + id + "\"}";
+        d.ok("{\"cmd\":\"step\",\"session\":\"" + id +
+             "\",\"count\":10}");
+        const JsonValue stepped = d.ok(statsReq);
+        ASSERT_NE(stepped.find("memory"), nullptr);
+        ASSERT_NE(stepped.find("memory")->find("decodeBytes"), nullptr);
+        EXPECT_EQ(stepped.find("memory")->u64Or("decodeBytes", 1), 0u);
+        EXPECT_EQ(d.ok("{\"cmd\":\"info\"}")
+                      .find("sessions")
+                      ->u64Or("decodeBytes", 1),
+                  0u);
+
+        d.ok("{\"cmd\":\"run\",\"session\":\"" + id +
+             "\",\"maxSteps\":100000000}");
+        const std::uint64_t bytes =
+            d.ok(statsReq).find("memory")->u64Or("decodeBytes", 0);
+        EXPECT_GT(bytes, 0u);
+        EXPECT_LE(bytes, 128u << 10);
+        EXPECT_EQ(d.ok("{\"cmd\":\"info\"}")
+                      .find("sessions")
+                      ->u64Or("decodeBytes", 0),
+                  bytes);
+        const JsonValue t = d.ok("{\"cmd\":\"telemetry\"}");
+        const JsonValue *gauge =
+            t.find("telemetry")->find("gauges")->find("fleet.decodeBytes");
+        ASSERT_NE(gauge, nullptr);
+        EXPECT_EQ(gauge->asDouble(), double(bytes));
+    }
+    cleanupSpool(cfg);
+}
+
 TEST(ServerSession, SessionMetricsPinnedAcrossLifecycle)
 {
     // Pin the per-session lifetime counters through every lifecycle

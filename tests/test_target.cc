@@ -84,6 +84,34 @@ TEST(Target, AllBackendsRunAllWorkloads)
     }
 }
 
+/** memUsage() reports what the fast path's decode cache allocated:
+ *  nothing before a fast run or after a step-tier run, and after one
+ *  fast run of a workload at most the 32 KiB page directory plus a
+ *  page's index and the records its code decoded into.  The bounds
+ *  are what the old one-slot-per-address caches cost without their
+ *  slots (72 KiB per RISC I code page, 288 KiB per VAX one). */
+TEST(Target, DecodeBytesCountTheFastPathsCache)
+{
+    for (const auto name : target::backendNames()) {
+        const std::uint64_t bound = name == "vax" ? 128 << 10 : 104 << 10;
+        for (const Workload &w : allWorkloads()) {
+            SCOPED_TRACE(std::string(name) + "/" + w.id);
+            const auto fast = target::makeTarget(name);
+            fast->load(target::workloadSource(name, w));
+            EXPECT_EQ(fast->memUsage().decodeBytes, 0u);
+            ASSERT_TRUE(fast->run(50'000'000, true).halted);
+            const std::uint64_t bytes = fast->memUsage().decodeBytes;
+            EXPECT_GT(bytes, 32u << 10);
+            EXPECT_LE(bytes, bound);
+
+            const auto slow = target::makeTarget(name);
+            slow->load(target::workloadSource(name, w));
+            ASSERT_TRUE(slow->run(50'000'000, false).halted);
+            EXPECT_EQ(slow->memUsage().decodeBytes, 0u);
+        }
+    }
+}
+
 /** load(source) is assemble-then-loadProgram: loading an image
  *  assembled once must run exactly like loading the source, on every
  *  backend, workload, and tier. */
